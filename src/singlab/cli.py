@@ -641,10 +641,23 @@ def build_parser():
     return top
 
 
+# Integer flags that bound a computation; a negative bound is an input error.
+NONNEGATIVE_FLAGS = ("weight_bound", "trunc", "depth", "window_size")
+
+
+def _check_bounds(args):
+    for name in NONNEGATIVE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be nonnegative, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except BoundExceeded as ex:
         print(json.dumps({"error": ex.code, "message": str(ex)},

@@ -1,18 +1,53 @@
 """Sparse exact matrices over QQ, QQ(i), or GF(p), with rref and kernels.
 
-Elimination is fraction-free (Bareiss) on denominator-cleared rows, with
-rational normalisation only at the end, so intermediate entries stay
-integral and growth stays polynomial.  All values are immutable after
-construction; every operation returns a fresh matrix.
+Elimination is sparse Gauss-Jordan on rows stored as ``{col: value}``
+dicts, using only the field's own ``+ - * /``.  One routine, `_reduce`,
+reduces a row against normalised pivot rows in increasing column order;
+`ExactMatrix.rref` and `SpanBuilder` both use it.  All values are
+immutable after construction; every operation returns a fresh matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
 
 from .errors import FieldMismatch, InputError
-from .fields import GaussianRational, PrimeField, check_same_field
+from .fields import check_same_field
+
+
+def _reduce(work, tails):
+    """Reduce the sparse row `work` in place against the pivot rows `tails`.
+
+    `tails` maps a pivot column c to its normalised pivot row without the
+    leading 1 at c; every entry of that row lies right of c.  A heap yields
+    the row's pivot columns in increasing order, so each elimination only
+    fills columns further right and a cleared column never comes back."""
+    heap = [c for c in work if c in tails]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        x = work.pop(c, None)
+        if x is None:
+            continue
+        for j, v in tails[c].items():
+            if j in work:
+                s = work[j] - x * v
+                if s:
+                    work[j] = s
+                else:
+                    del work[j]
+            else:
+                work[j] = -(x * v)
+                if j in tails:
+                    heappush(heap, j)
+    return work
+
+
+def _new_pivot(work, field):
+    """Split a reduced nonzero row into its pivot column and normalised tail."""
+    c = min(work)
+    inv = field.one() / work.pop(c)
+    return c, {j: v * inv for j, v in work.items()}
 
 
 class ExactMatrix:
@@ -31,6 +66,8 @@ class ExactMatrix:
                 raise InputError(f"entry ({r},{c}) outside {rows}x{cols}")
             if not field.contains(v):
                 raise FieldMismatch(f"entry ({r},{c}) not in {field}")
+            if type(v) is int:
+                v = field.from_int(v)
             if v:
                 clean[(r, c)] = v
         self.entries = clean
@@ -67,12 +104,6 @@ class ExactMatrix:
         """Deterministic (row, col) -> value iteration."""
         for key in sorted(self.entries):
             yield key, self.entries[key]
-
-    def to_rows(self):
-        out = [[self.field.zero()] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def transpose(self):
         return ExactMatrix(
@@ -162,71 +193,30 @@ class ExactMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _cleared_rows(self):
-        """Dense rows with denominators cleared (no-op over GF(p))."""
-        rows = self.to_rows()
-        if isinstance(self.field, PrimeField):
-            return rows
-        out = []
-        for row in rows:
-            dens = []
-            for v in row:
-                if isinstance(v, GaussianRational):
-                    dens.append(v.re.denominator)
-                    dens.append(v.im.denominator)
-                else:
-                    dens.append(Fraction(v).denominator)
-            m = lcm(*dens) if dens else 1
-            out.append([v * m for v in row])
-        return out
-
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""
         if self._rref is not None:
             return self._rref
-        work = self._cleared_rows()
-        m, n = self.rows, self.cols
-        pivots = []
-        piv_r = 0
-        prev = None
-        for c in range(n):
-            pr = None
-            for r in range(piv_r, m):
-                if work[r][c]:
-                    pr = r
-                    break
-            if pr is None:
-                continue
-            if pr != piv_r:
-                work[piv_r], work[pr] = work[pr], work[piv_r]
-            piv = work[piv_r][c]
-            for r in range(piv_r + 1, m):
-                x = work[r][c]
-                for j in range(c, n):
-                    val = piv * work[r][j] - x * work[piv_r][j]
-                    if prev is not None:
-                        val = val / prev
-                    work[r][j] = val
-            prev = piv
-            pivots.append(c)
-            piv_r += 1
-            if piv_r == m:
-                break
-        # normalise and back-substitute
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            piv = work[i][c]
-            work[i] = [v / piv for v in work[i]]
-            for r in range(i):
-                x = work[r][c]
-                if x:
-                    work[r] = [a - x * b for a, b in zip(work[r], work[i])]
+        rows = [{} for _ in range(self.rows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        tails = {}
+        for work in rows:
+            if _reduce(work, tails):
+                c, tail = _new_pivot(work, self.field)
+                tails[c] = tail
+        # A tail is already free of the pivots found before it; clearing the
+        # later ones right to left only meets fully reduced rows.
+        pivots = tuple(sorted(tails))
+        for c in reversed(pivots):
+            _reduce(tails[c], tails)
+        one = self.field.one()
         entries = {}
-        for r in range(m):
-            for c in range(n):
-                if work[r][c]:
-                    entries[(r, c)] = work[r][c]
-        result = (ExactMatrix(m, n, entries, self.field), tuple(pivots))
+        for i, c in enumerate(pivots):
+            entries[(i, c)] = one
+            for j, v in tails[c].items():
+                entries[(i, j)] = v
+        result = (ExactMatrix(self.rows, self.cols, entries, self.field), pivots)
         self._rref = result
         return result
 
@@ -237,15 +227,16 @@ class ExactMatrix:
         """Vectors spanning ker(self); count = cols - rank."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [self.field.zero()] * self.cols
-            v[f] = self.field.one()
-            for i, c in enumerate(pivots):
-                v[c] = -red.entry(i, f)
-            basis.append(v)
-        return basis
+        zero, one = self.field.zero(), self.field.one()
+        basis = {}
+        for f in range(self.cols):
+            if f not in pivot_set:
+                basis[f] = [zero] * self.cols
+                basis[f][f] = one
+        for (i, f), v in red.entries.items():
+            if f in basis:
+                basis[f][pivots[i]] = -v
+        return list(basis.values())
 
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None when inconsistent."""
@@ -261,22 +252,11 @@ class ExactMatrix:
         red, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        x = [self.field.zero()] * self.cols
+        zero = self.field.zero()
+        x = [zero] * self.cols
         for i, c in enumerate(pivots):
-            x[c] = red.entry(i, self.cols)
+            x[c] = red.entries.get((i, self.cols), zero)
         return x
-
-    def column_space_rank_with(self, extra_columns):
-        """Rank of [self | extra] where extra is a list of column vectors."""
-        entries = dict(self.entries)
-        for j, col in enumerate(extra_columns):
-            for r, v in enumerate(col):
-                if v:
-                    entries[(r, self.cols + j)] = v
-        big = ExactMatrix(
-            self.rows, self.cols + len(extra_columns), entries, self.field
-        )
-        return big.rank()
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
@@ -296,58 +276,33 @@ def matrix_from_columns(field, columns, rows=None):
     return ExactMatrix(rows, len(columns), entries, field)
 
 
-def subspace_dim(field, vectors, length):
-    """Dimension of the span of the given coordinate vectors."""
-    if not vectors:
-        return 0
-    return matrix_from_columns(field, vectors, rows=length).rank()
-
-
-def vector_in_span(field, vectors, target, length):
-    """Whether target lies in span(vectors); both as coordinate vectors."""
-    mat = matrix_from_columns(field, vectors, rows=length)
-    return mat.solve(target) is not None
-
-
 class SpanBuilder:
     """Incremental echelonised span of coordinate vectors.
 
-    add() reduces the vector against the current echelon rows and keeps
-    it when it contributes a new pivot; rank queries are O(1)."""
+    add() reduces the vector against the current pivot rows and keeps it
+    when it contributes a new pivot; rank queries are O(1)."""
 
-    __slots__ = ("field", "length", "rows")
+    __slots__ = ("field", "length", "tails")
 
     def __init__(self, field, length):
         self.field = field
         self.length = length
-        self.rows = {}  # pivot index -> normalised sparse row dict
+        self.tails = {}  # pivot column -> normalised row without its leading 1
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.tails)
 
     def _reduce(self, vec):
-        work = {i: v for i, v in enumerate(vec) if v}
-        for pivot in sorted(self.rows):
-            c = work.get(pivot)
-            if not c:
-                continue
-            for j, v in self.rows[pivot].items():
-                s = work.get(j, self.field.zero()) - c * v
-                if s:
-                    work[j] = s
-                else:
-                    work.pop(j, None)
-        return work
+        return _reduce({i: v for i, v in enumerate(vec) if v}, self.tails)
 
     def add(self, vec):
         """Insert; returns True when the rank grew."""
         work = self._reduce(vec)
         if not work:
             return False
-        pivot = min(work)
-        inv = self.field.one() / work[pivot]
-        self.rows[pivot] = {j: inv * v for j, v in work.items()}
+        c, tail = _new_pivot(work, self.field)
+        self.tails[c] = tail
         return True
 
     def contains(self, vec):

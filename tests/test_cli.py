@@ -62,6 +62,52 @@ def test_exit_code_input_error():
     assert "ParseError" in proc.stderr
 
 
+def assert_input_error(proc):
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "InputError"
+
+
+def test_negative_weight_bound_is_input_error():
+    assert_input_error(run_cli(
+        "endcoh", "--ring", "x", "--sigma", "x^2", "--ideal", "x",
+        "--weight-bound", "-5", check=False,
+    ))
+
+
+def test_negative_trunc_is_input_error(tmp_path):
+    doc = {
+        "vertices": ["1", "2"],
+        "arrows": [{"name": "a", "from": "1", "to": "2"}],
+    }
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(run_cli(
+        "quiver", "preproj", str(path), "--trunc", "-1", check=False
+    ))
+
+
+def test_negative_depth_is_input_error(tmp_path):
+    doc = {
+        "algebra": {
+            "basis": ["1", "x"],
+            "unit": "1",
+            "products": {"1,1": {"1": "1"}, "1,x": {"x": "1"}, "x,1": {"x": "1"}},
+        },
+        "idempotent": {"1": "1"},
+    }
+    path = tmp_path / "drinfeld.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(run_cli(
+        "quiver", "drinfeld", str(path), "--depth", "-3", check=False
+    ))
+
+
+def test_negative_window_size_is_input_error(nodal_file):
+    assert_input_error(run_cli(
+        "mf", "unfold", nodal_file, "--window-size", "-2", check=False
+    ))
+
+
 def test_exit_code_refused():
     proc = run_cli(
         "milnor", "--ring", "x", "--sigma", "x^2 + 1", check=False

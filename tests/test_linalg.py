@@ -6,7 +6,7 @@ import pytest
 
 from singlab.errors import FieldMismatch
 from singlab.fields import QQ, GaussianRational, QQI, PrimeField
-from singlab.linalg import ExactMatrix, matrix_from_columns
+from singlab.linalg import ExactMatrix, SpanBuilder, matrix_from_columns
 
 
 def rank_by_minors(mat):
@@ -133,3 +133,28 @@ def test_rref_random_rational_vs_minor_oracle():
         ]
         m = ExactMatrix.from_rows(QQ, rows)
         assert m.rank() == rank_by_minors(m)
+
+
+def test_int_entries_over_rationals():
+    # RAT accepts plain ints; they are stored as Fractions so that
+    # elimination never divides two ints into a float.
+    m = ExactMatrix(1, 1, {(0, 0): 1}, QQ)
+    assert m.solve([2]) == [Fraction(2)]
+    m = ExactMatrix(2, 3, {(0, 0): 2, (0, 1): 4, (1, 1): 2, (1, 2): 3}, QQ)
+    assert all(type(v) is Fraction for v in m.entries.values())
+    red, pivots = m.rref()
+    assert pivots == (0, 1)
+    assert red == ExactMatrix.from_rows(
+        QQ, [[1, 0, Fraction(-3)], [0, 1, Fraction(3, 2)]]
+    )
+    (v,) = m.kernel_basis()
+    assert v == [Fraction(3), Fraction(-3, 2), Fraction(1)]
+    x = m.solve([6, 5])
+    assert m.apply(x) == [Fraction(6), Fraction(5)]
+    span = SpanBuilder(QQ, 3)
+    assert span.add([2, 4, 0])
+    assert not span.add([1, 2, 0])
+    assert span.add([0, 2, 3])
+    assert span.rank == 2
+    assert span.contains([3, 4, -3])
+    assert not span.contains([0, 0, 1])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -386,3 +387,16 @@ def test_kleinian_polynomials_have_matching_milnor_numbers():
         _, tau = tjurina_algebra(sigma)
         assert mu == rank, (kind, rank, mu)
         assert tau == mu
+
+
+def test_drinfeld_end_algebra_depth_10_scale():
+    # Dense elimination could not reach depth 8 of this complex in minutes;
+    # sparse elimination keeps depth 10 within a few seconds.
+    alg, e = end_r_plus_k()
+    start = time.perf_counter()
+    d = drinfeld_quotient(alg, e, 10)
+    window = list(range(0, -9, -1))
+    dims = drinfeld_cohomology(d, window)
+    elapsed = time.perf_counter() - start
+    assert dims == {j: 1 for j in window}
+    assert elapsed < 6.0, f"depth 10 took {elapsed:.2f} s"
