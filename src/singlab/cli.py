@@ -79,14 +79,14 @@ SCHEMAS = {
     },
     "hh": {
         "input": {
-            "grading": "Z | Z2",
+            "grading": "Z | Z2 (optional)",
             "basis": ["name"],
-            "degrees": ["int"],
+            "degrees": ["int (optional)"],
             "unit": "name",
-            "products": {"a,b": {"c": "scalar"}},
-            "differential": {"a": {"b": "scalar"}},
-            "curvature": {"a": "scalar"},
-            "field": "rat",
+            "products": {"a,b": {"c": "scalar (optional)"}},
+            "differential": {"a": {"b": "scalar (optional)"}},
+            "curvature": {"a": "scalar (optional)"},
+            "field": "rat (optional)",
         },
         "flags": {
             "--variant": "cochain | chain",
@@ -106,9 +106,9 @@ SCHEMAS = {
     "koszul-dual": {
         "input": {
             "basis": ["name"],
-            "degrees": ["int"],
+            "degrees": ["int (optional)"],
             "unit": "name",
-            "products": {"a,b": {"c": "scalar"}},
+            "products": {"a,b": {"c": "scalar (optional)"}},
         },
         "flags": {"--trunc": "bar length bound", "--window": "a:b"},
     },
@@ -116,9 +116,9 @@ SCHEMAS = {
     "cobar": {
         "input": {
             "basis": ["name"],
-            "degrees": ["int"],
+            "degrees": ["int (optional)"],
             "coaug": "name",
-            "delta": {"c": {"a,b": "scalar"}},
+            "delta": {"c": {"a,b": "scalar (optional)"}},
             "weights": ["int (optional)"],
         },
         "flags": {"--trunc": "total weight bound"},
@@ -169,8 +169,18 @@ def _load_json(path):
         raise ParseError(f"cannot read {path}: {ex}") from ex
 
 
+def _require_keys(doc, schema_name):
+    """InputError unless `doc` has every non-optional input key of the schema."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{schema_name} input must be a JSON object")
+    for key, spec in SCHEMAS[schema_name]["input"].items():
+        if key not in doc and "(optional)" not in json.dumps(spec):
+            raise InputError(f"{schema_name} input lacks required key {key!r}")
+    return doc
+
+
 def _load_mf(path):
-    doc = _load_json(path)
+    doc = _require_keys(_load_json(path), "mf")
     m = matfac.MatrixFactorisation.from_json(doc)
     if "weights_even" in doc and "weights_odd" in doc:
         from fractions import Fraction
@@ -263,7 +273,7 @@ def cmd_mf(args):
         return 0
     if action == "unfold":
         m = _load_mf(args.file)
-        window = args.window_size or 3
+        window = 3 if args.window_size is None else args.window_size
         c = matfac.mf_unfold(m, window)
         payload = {
             "grading": c.grading,
@@ -384,7 +394,7 @@ def _curved_from_json(doc):
 def cmd_hh(args):
     if _maybe_schema(args, "hh"):
         return 0
-    curved = _curved_from_json(_load_json(args.file))
+    curved = _curved_from_json(_require_keys(_load_json(args.file), "hh"))
     ok, witness = hochschild.validate_curved(curved)
     if not ok:
         raise RefusedError(f"invalid curved algebra: {witness}")
@@ -419,7 +429,7 @@ def cmd_quiver(args):
         doc = _load_json(args.file)
         alg = algebra_from_json(doc["algebra"])
         e = alg.element(doc["idempotent"])
-        depth = args.depth or 6
+        depth = 6 if args.depth is None else args.depth
         window = _window(args.window) if args.window else [0, -1, -2, -3]
         D = quiverlab.drinfeld_quotient(alg, e, depth)
         _emit(args, {
@@ -458,7 +468,7 @@ def cmd_quiver(args):
 
 
 def _augmented_from_json(doc):
-    alg = algebra_from_json(doc)
+    alg = algebra_from_json(_require_keys(doc, "koszul-dual"))
     degrees = doc.get("degrees", [0] * alg.dim)
     return koszuldual.AugmentedAlgebra(alg, degrees)
 
@@ -493,7 +503,7 @@ def cmd_bar(args):
 def cmd_cobar(args):
     if _maybe_schema(args, "cobar"):
         return 0
-    doc = _load_json(args.file)
+    doc = _require_keys(_load_json(args.file), "cobar")
     field = field_by_name(doc.get("field", "rat"))
     basis = list(doc["basis"])
     scalar_ring = Ring((), field=field)

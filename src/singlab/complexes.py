@@ -173,42 +173,6 @@ class ChainMap:
         return True
 
 
-def homotopy_defect(f, g, h_matrices):
-    """d_N h + (-1)^deg(f) h d_M - (f - g), degree by degree.
-
-    h has degree deg(f) - 1, so the hom-complex differential of h is
-    d_N h - (-1)^{deg f - 1} h d_M.  Returns the first nonzero block or
-    None when h is a genuine homotopy from f to g.
-    """
-    src, tgt = f.source, f.target
-    base = src.base
-    ring = ring_of(base)
-    hdeg = f.degree - 1
-    sign = -1 if hdeg % 2 else 1
-
-    def h_mat(i):
-        mat = h_matrices.get(i)
-        if mat is None:
-            t = i + hdeg
-            if src.grading == "Z2":
-                t %= 2
-            return PolyMatrix.zero(ring, tgt.rank(t), src.rank(i))
-        return mat
-
-    for i in src.degrees():
-        t = i + hdeg
-        if src.grading == "Z2":
-            t %= 2
-        lhs = tgt.differential(t) @ h_mat(i)
-        lhs = lhs - (h_mat(src.next_degree(i)) @ src.differential(i)).scale(
-            ring.constant(sign)
-        )
-        rhs = f.matrix(i) - g.matrix(i)
-        if not (lhs - rhs).is_zero(base):
-            return i
-    return None
-
-
 # -- chain-level operations ---------------------------------------------------
 
 

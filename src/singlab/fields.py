@@ -118,9 +118,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -251,9 +248,6 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def from_fraction(self, num, den=1):
-        return Fraction(num, den)
-
     def contains(self, x):
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -263,9 +257,6 @@ class GaussianRationalField(Field):
 
     def from_int(self, n):
         return GaussianRational(n)
-
-    def from_parts(self, re, im=0):
-        return GaussianRational(re, im)
 
     def contains(self, x):
         return isinstance(x, GaussianRational)

@@ -71,11 +71,6 @@ class FinDimAlgebra:
                     out[k] = out[k] + a * b * c
         return out
 
-    def commutator(self, u, v):
-        x = self.multiply(u, v)
-        y = self.multiply(v, u)
-        return [a - b for a, b in zip(x, y)]
-
     # -- validation -----------------------------------------------------
 
     def unit_defect(self):

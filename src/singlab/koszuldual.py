@@ -473,9 +473,6 @@ class KoszulDual:
         self._reps = reps  # degree -> list of functionals {word: scalar}
         self._cycles = cycle_data  # degree -> (space, index, cycle vectors)
 
-    def generator_count(self, degree):
-        return self.dims.get(degree, 0)
-
     def functional(self, degree, k):
         return self._reps[degree][k]
 

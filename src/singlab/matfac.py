@@ -151,12 +151,6 @@ class MFMorphism:
             b = y.psi @ self.f1 + self.f0 @ x.phi
         return a.is_zero() and b.is_zero()
 
-    def constant_parts(self):
-        zero = {v: 0 for v in self.source.ring.variables}
-        c0 = self.f0.substitute(zero)
-        c1 = self.f1.substitute(zero)
-        return c0, c1
-
 
 def mf_verify(m):
     """Check phi psi = psi phi = sigma id; returns (ok, witness|None)."""

@@ -5,6 +5,17 @@ term order, Buchberger's algorithm with reduced bases, staircase quotient
 bases, cofactor-tracked division, and the Milnor/Tjurina invariants of a
 hypersurface germ.
 
+Division (:func:`normal_form`) reduces a mutable ``{exp: coeff}`` dict in
+place, visiting its terms through a heap in descending order, always by
+the first divisor whose leading monomial divides.  :func:`buchberger` has
+two pair schedules.  Without cofactor tracking it follows Gebauer and
+Möller ("On an installation of Buchberger's algorithm", 1988): normal
+selection (smallest lcm first) and the product, chain and B criteria.
+With tracking, S-pairs run first in, first out with only the product
+criterion, because the cofactors that :func:`division_coefficients`
+returns (printed as ``sigmaCoeffs``) depend on the schedule.  The reduced
+basis is unique, so both schedules print the same generators.
+
 Power series rings are modelled by polynomial representatives: exact
 statements are made for weight-homogeneous inputs (where local = graded),
 and everything else is handled through explicit truncation bounds by the
@@ -20,7 +31,10 @@ of :func:`format_poly` parses back to the same polynomial.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, sub
 
 from .errors import (
     CharTooSmall,
@@ -207,14 +221,18 @@ def _weight_slices(weights, target):
     return out
 
 
+_UNSET = object()
+
+
 class Poly:
     """Sparse polynomial: exponent tuple -> nonzero scalar."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
+        self._lead = _UNSET  # `terms` is never written after this point
 
     def is_zero(self):
         return not self.terms
@@ -303,10 +321,14 @@ class Poly:
 
     def leading(self):
         """(exponent, coefficient) of the leading term; None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=self.ring.order_key)
-        return e, self.terms[e]
+        lead = self._lead
+        if lead is _UNSET:
+            lead = None
+            if self.terms:
+                e = max(self.terms, key=self.ring.order_key)
+                lead = e, self.terms[e]
+            self._lead = lead
+        return lead
 
     def monic(self):
         lead = self.leading()
@@ -526,53 +548,80 @@ def format_poly(poly):
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
+
+
+def _heap_entry(exp, weights):
+    """Min-heap entry that pops the largest monomial under weighted grevlex."""
+    return -sum(map(mul, exp, weights)), exp[::-1], exp
 
 
 def normal_form(poly, divisors, track=False):
     """Remainder of poly modulo divisors; optional cofactor tracking.
 
-    Divisors are tried in the given order at each reduction step, which
-    makes the cofactors deterministic.  Returns remainder, or a pair
-    (remainder, cofactors) when track is set.
+    Each step reduces the largest remaining term by the first divisor
+    whose leading monomial divides it, which makes the cofactors
+    deterministic.  The polynomial being reduced is a ``{exp: coeff}``
+    dict updated in place, with a heap of its monomials whose entries for
+    cancelled terms are skipped when popped.  Returns the remainder, or a
+    pair (remainder, cofactors) when track is set.
     """
     ring = poly.ring
     leads = []
     for d in divisors:
+        if d.ring is not ring and d.ring != ring:
+            raise RingMismatch(f"{ring} vs {d.ring}")
         lead = d.leading()
         if lead is None:
             raise InputError("zero divisor polynomial")
         leads.append(lead)
-    cofactors = [ring.zero() for _ in divisors] if track else None
-    remainder = ring.zero()
-    work = poly
-    while work.terms:
-        e, c = work.leading()
-        hit = None
-        for i, (le, lc) in enumerate(leads):
-            if _divides(le, e):
-                hit = i
+    weights = ring.weights
+    cofactors = [{} for _ in divisors] if track else None
+    remainder = {}
+    work = dict(poly.terms)
+    heap = [_heap_entry(e, weights) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e, None)
+        if c is None:
+            continue  # the term cancelled after its entry was pushed
+        for i, (lead_e, lc) in enumerate(leads):
+            if all(map(le, lead_e, e)):  # _divides, inlined
                 break
-        if hit is None:
-            t = ring.monomial(e, c)
-            remainder = remainder + t
-            work = work - t
         else:
-            le, lc = leads[hit]
-            factor = ring.monomial(_exp_sub(e, le), c / lc)
-            work = work - factor * divisors[hit]
-            if track:
-                cofactors[hit] = cofactors[hit] + factor
+            remainder[e] = c
+            continue
+        shift = _exp_sub(e, lead_e)
+        q = c / lc
+        if track:
+            cofactors[i][shift] = q
+        # subtract q * x^shift * divisor; its leading term cancels c * x^e
+        for de, dc in divisors[i].terms.items():
+            if de == lead_e:
+                continue
+            ne = tuple(map(add, de, shift))
+            old = work.get(ne)
+            if old is None:
+                work[ne] = -(q * dc)
+                heappush(heap, _heap_entry(ne, weights))
+            else:
+                old = old - q * dc
+                if old:
+                    work[ne] = old
+                else:
+                    del work[ne]
+    remainder = Poly(ring, remainder)
     if track:
-        return remainder, cofactors
+        return remainder, [Poly(ring, t) for t in cofactors]
     return remainder
 
 
@@ -597,18 +646,25 @@ class GroebnerBasis:
         return self.reduce(poly).is_zero()
 
 
-def buchberger(gens, track=False):
-    """Reduced Groebner basis of the ideal generated by gens.
+def _s_polynomial(f, g, lcm_e):
+    """(lcm / lt f) * f - (lcm / lt g) * g for monic f and g."""
+    sf = _exp_sub(lcm_e, f.leading()[0])
+    sg = _exp_sub(lcm_e, g.leading()[0])
+    terms = {tuple(map(add, e, sf)): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        e = tuple(map(add, e, sg))
+        s = terms.get(e)
+        terms[e] = -c if s is None else s - c
+    return Poly(f.ring, terms)
 
-    With track=True every basis element also records its expression as a
-    combination of the input generators (used for cofactor-exact division).
+
+def _tracked_basis(ring, gens):
+    """Groebner basis of (gens), each element with its combination vector.
+
+    Pairs are taken first in, first out, and only the coprime criterion
+    skips any: the cofactors that `division_coefficients` returns depend
+    on this exact schedule.
     """
-    if not gens:
-        raise InputError("no generators")
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("generators from different rings")
     basis = []
     history = []  # combination vectors over the input gens
     n = len(gens)
@@ -620,22 +676,21 @@ def buchberger(gens, track=False):
         vec[i] = ring.constant(ring.field.one() / lc)
         basis.append(g.monic())
         history.append(vec)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while pairs:
-        i, j = pairs.pop(0)
+        i, j = pairs.popleft()
         ei = basis[i].leading()[0]
         ej = basis[j].leading()[0]
         lcm_e = _exp_lcm(ei, ej)
-        if lcm_e == tuple(a + b for a, b in zip(ei, ej)):
+        if lcm_e == tuple(map(add, ei, ej)):
             continue  # coprime leading terms reduce to zero
-        mi = ring.monomial(_exp_sub(lcm_e, ei))
-        mj = ring.monomial(_exp_sub(lcm_e, ej))
-        s = mi * basis[i] - mj * basis[j]
+        s = _s_polynomial(basis[i], basis[j], lcm_e)
         rem, cof = normal_form(s, basis, track=True)
         if rem.is_zero():
             continue
-        lc = rem.leading()[1]
-        inv = ring.constant(ring.field.one() / lc)
+        mi = ring.monomial(_exp_sub(lcm_e, ei))
+        mj = ring.monomial(_exp_sub(lcm_e, ej))
+        inv = ring.constant(ring.field.one() / rem.leading()[1])
         vec = [ring.zero()] * n
         for k in range(n):
             acc = mi * history[i][k] - mj * history[j][k]
@@ -646,35 +701,111 @@ def buchberger(gens, track=False):
         history.append(vec)
         new = len(basis) - 1
         pairs.extend((k, new) for k in range(new))
+    return basis, history
+
+
+def _untracked_basis(ring, gens):
+    """Groebner basis of (gens) by the Gebauer–Möller installation.
+
+    Pairs are chosen by the normal selection strategy (smallest lcm under
+    the ring's order first).  Each new element h passes through the
+    Gebauer–Möller update: among the new pairs (g, h) the chain (M) and
+    equal-lcm (F) criteria keep one per minimal lcm and the product
+    criterion then drops coprime ones; a pending pair (g1, g2) is dropped
+    when lt(h) divides its lcm and neither lcm(g1, h) nor lcm(g2, h)
+    equals it (B criterion); and every g with lt(h) | lt(g) stops being a
+    divisor (its pending pairs still run).
+    """
+    basis = []  # every element ever added, monic
+    leads = []
+    active = []  # indices of the current divisors
+    pairs = []  # heap of (order key of lcm, i, j, lcm)
+
+    def update(h):
+        k = len(basis)
+        lh = h.leading()[0]
+        basis.append(h)
+        leads.append(lh)
+        new = [(g, _exp_lcm(leads[g], lh)) for g in active]
+        kept = []
+        for pos, (g, lcm_e) in enumerate(new):
+            coprime = lcm_e == tuple(map(add, leads[g], lh))
+            if coprime or not (
+                any(_divides(other, lcm_e) for _, other in new[pos + 1:])
+                or any(_divides(other, lcm_e) for _, other, _ in kept)
+            ):
+                kept.append((g, lcm_e, coprime))
+        pairs[:] = [
+            p for p in pairs
+            if not _divides(lh, p[3])
+            or _exp_lcm(leads[p[1]], lh) == p[3]
+            or _exp_lcm(leads[p[2]], lh) == p[3]
+        ]
+        pairs.extend(
+            (ring.order_key(lcm_e), g, k, lcm_e)
+            for g, lcm_e, coprime in kept
+            if not coprime
+        )
+        heapify(pairs)
+        active[:] = [g for g in active if not _divides(lh, leads[g])] + [k]
+
+    for g in gens:
+        if not g.is_zero():
+            update(g.monic())
+    while pairs:
+        _, i, j, lcm_e = heappop(pairs)
+        s = _s_polynomial(basis[i], basis[j], lcm_e)
+        rem = normal_form(s, [basis[g] for g in active])
+        if not rem.is_zero():
+            update(rem.monic())
+    return [basis[g] for g in active]
+
+
+def buchberger(gens, track=False):
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    With track=True every basis element also records its expression as a
+    combination of the input generators (used for cofactor-exact division),
+    and S-pairs run in the fixed first-in-first-out schedule of
+    `_tracked_basis`.  Without it no combinations are built and the pairs
+    follow `_untracked_basis`.  The reduced basis is unique, so both give
+    the same generators.
+    """
+    if not gens:
+        raise InputError("no generators")
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatch("generators from different rings")
+    if track:
+        basis, history = _tracked_basis(ring, gens)
+    else:
+        basis, history = _untracked_basis(ring, gens), None
     # minimalise: drop any generator whose leading term another one divides
-    keep = []
-    for i in range(len(basis)):
-        ei = basis[i].leading()[0]
-        dominated = False
-        for j in range(len(basis)):
-            if j == i:
-                continue
-            ej = basis[j].leading()[0]
-            if _divides(ej, ei) and (ej != ei or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
+    leads = [b.leading()[0] for b in basis]
+    keep = [
+        i
+        for i, ei in enumerate(leads)
+        if not any(
+            j != i and _divides(ej, ei) and (ej != ei or j < i)
+            for j, ej in enumerate(leads)
+        )
+    ]
     reduced = []
     reduced_hist = []
-    for idx, i in enumerate(keep):
-        others = [basis[j] for j in keep if j != i]
+    for i in keep:
+        other_idx = [j for j in keep if j != i]
+        others = [basis[j] for j in other_idx]
+        if not track:
+            reduced.append(normal_form(basis[i], others).monic())
+            continue
         rem, cof = normal_form(basis[i], others, track=True)
         vec = list(history[i])
-        other_idx = [j for j in keep if j != i]
         for pos, q in enumerate(cof):
             hj = history[other_idx[pos]]
-            for k in range(n):
+            for k in range(len(gens)):
                 vec[k] = vec[k] - q * hj[k]
-        if rem.is_zero():
-            continue
-        lc = rem.leading()[1]
-        inv = ring.constant(ring.field.one() / lc)
+        inv = ring.constant(ring.field.one() / rem.leading()[1])
         reduced.append(rem.monic())
         reduced_hist.append([inv * v for v in vec])
     order = sorted(
@@ -683,8 +814,8 @@ def buchberger(gens, track=False):
         reverse=True,
     )
     gens_sorted = [reduced[k] for k in order]
-    hist_sorted = [reduced_hist[k] for k in order]
-    return GroebnerBasis(ring, gens_sorted, hist_sorted if track else None)
+    hist_sorted = [reduced_hist[k] for k in order] if track else None
+    return GroebnerBasis(ring, gens_sorted, hist_sorted)
 
 
 class QuotientBasis:

@@ -40,9 +40,6 @@ class Quiver:
     def n(self):
         return len(self.vertices)
 
-    def arrow_names(self):
-        return [a[0] for a in self.arrows]
-
     def double(self):
         """Add a reversed arrow a* for every arrow a."""
         arrows = list(self.arrows)

@@ -108,6 +108,65 @@ def test_negative_window_size_is_input_error(nodal_file):
     ))
 
 
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_missing_key(proc, key):
+    assert_input_error(proc)
+    assert repr(key) in json.loads(proc.stderr)["message"]
+
+
+def test_mf_verify_missing_key_is_input_error(tmp_path):
+    path = write_json(tmp_path, "empty.json", {})
+    assert_missing_key(run_cli("mf", "verify", path, check=False), "ring")
+
+
+def test_hh_missing_key_is_input_error(tmp_path):
+    path = write_json(tmp_path, "empty.json", {})
+    assert_missing_key(run_cli("hh", path, check=False), "basis")
+
+
+def test_koszul_dual_missing_key_is_input_error(tmp_path):
+    path = write_json(tmp_path, "empty.json", {})
+    assert_missing_key(run_cli("koszul-dual", path, check=False), "basis")
+
+
+def test_cobar_missing_key_is_input_error(tmp_path):
+    doc = {
+        "basis": ["1", "x"],
+        "degrees": [0, 0],
+        "unit": "1",
+        "products": {"1,1": {"1": "1"}, "1,x": {"x": "1"}, "x,1": {"x": "1"}},
+    }
+    path = write_json(tmp_path, "alg.json", doc)
+    assert_missing_key(
+        run_cli("cobar", path, "--trunc", "0", check=False), "coaug"
+    )
+
+
+def test_depth_zero_is_not_the_default(tmp_path):
+    doc = {
+        "algebra": {
+            "basis": ["1", "x"],
+            "unit": "1",
+            "products": {"1,1": {"1": "1"}, "1,x": {"x": "1"}, "x,1": {"x": "1"}},
+        },
+        "idempotent": {"1": "1"},
+    }
+    path = write_json(tmp_path, "drinfeld.json", doc)
+    proc = run_cli("quiver", "drinfeld", path, "--depth", "0", check=False)
+    assert proc.returncode == 4
+    assert json.loads(proc.stderr)["error"] == "WindowExceedsBound"
+
+
+def test_window_size_zero_is_not_the_default(nodal_file):
+    proc = run_cli("mf", "unfold", nodal_file, "--window-size", "0")
+    assert list(json.loads(proc.stdout)["components"]) == ["0"]
+
+
 def test_exit_code_refused():
     proc = run_cli(
         "milnor", "--ring", "x", "--sigma", "x^2 + 1", check=False
