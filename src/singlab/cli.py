@@ -50,7 +50,11 @@ SCHEMAS = {
     },
     "mf": {
         "input": {
-            "ring": {"variables": ["name"], "weights": ["int"], "field": "rat"},
+            "ring": {
+                "variables": ["name"],
+                "weights": ["int (optional)"],
+                "field": "rat (optional)",
+            },
             "sigma": "poly",
             "phi": [["poly"]],
             "psi": [["poly"]],
@@ -102,6 +106,18 @@ SCHEMAS = {
             "arrows": [{"name": "a", "from": "v", "to": "w"}],
             "extending": "index (optional)",
         }
+    },
+    "quiver drinfeld": {
+        "input": {
+            "algebra": {
+                "basis": ["name"],
+                "unit": "name",
+                "products": {"a,b": {"c": "scalar (optional)"}},
+                "field": "rat (optional)",
+            },
+            "idempotent": "{name: scalar}",
+        },
+        "flags": {"--depth": "depth bound", "--window": "a:b"},
     },
     "koszul-dual": {
         "input": {
@@ -169,13 +185,31 @@ def _load_json(path):
         raise ParseError(f"cannot read {path}: {ex}") from ex
 
 
-def _require_keys(doc, schema_name):
-    """InputError unless `doc` has every non-optional input key of the schema."""
+def _optional(spec):
+    """A schema entry is optional when its text says so; an object-valued
+    entry when every entry inside it is."""
+    if isinstance(spec, dict):
+        return all(_optional(sub) for sub in spec.values())
+    return "(optional)" in json.dumps(spec)
+
+
+def _check_object(doc, spec, what):
     if not isinstance(doc, dict):
-        raise InputError(f"{schema_name} input must be a JSON object")
-    for key, spec in SCHEMAS[schema_name]["input"].items():
-        if key not in doc and "(optional)" not in json.dumps(spec):
-            raise InputError(f"{schema_name} input lacks required key {key!r}")
+        raise InputError(f"{what} must be a JSON object")
+    for key, sub in spec.items():
+        if key not in doc and not _optional(sub):
+            raise InputError(f"{what} lacks required key {key!r}")
+
+
+def _require_keys(doc, schema_name):
+    """InputError unless `doc` has every non-optional input key of the
+    schema, and every object-valued entry it has holds that entry's own
+    non-optional keys."""
+    spec = SCHEMAS[schema_name]["input"]
+    _check_object(doc, spec, f"{schema_name} input")
+    for key, sub in spec.items():
+        if isinstance(sub, dict) and key in doc:
+            _check_object(doc[key], sub, f"{schema_name} input {key!r}")
     return doc
 
 
@@ -193,8 +227,14 @@ def _load_mf(path):
 
 
 def _window(text):
-    lo, hi = text.split(":")
-    return list(range(int(lo), int(hi) + 1))
+    """The degrees lo..hi of a `lo:hi` window."""
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise InputError(f"--window must be lo:hi, got {text!r}") from None
+    if lo > hi:
+        raise InputError(f"--window {text!r} is inverted")
+    return list(range(lo, hi + 1))
 
 
 def _parse_lambda(text):
@@ -417,7 +457,8 @@ def cmd_hh(args):
 
 
 def cmd_quiver(args):
-    if _maybe_schema(args, "quiver"):
+    schema = "quiver drinfeld" if args.action == "drinfeld" else "quiver"
+    if _maybe_schema(args, schema):
         return 0
     action = args.action
     if action == "blocks":
@@ -426,7 +467,7 @@ def cmd_quiver(args):
         _emit(args, {"blocks": report.to_json()})
         return 0
     if action == "drinfeld":
-        doc = _load_json(args.file)
+        doc = _require_keys(_load_json(args.file), "quiver drinfeld")
         alg = algebra_from_json(doc["algebra"])
         e = alg.element(doc["idempotent"])
         depth = 6 if args.depth is None else args.depth
@@ -437,7 +478,7 @@ def cmd_quiver(args):
             "cohomology": _dims_json(quiverlab.drinfeld_cohomology(D, window)),
         })
         return 0
-    q = quiverlab.Quiver.from_json(_load_json(args.file))
+    q = quiverlab.Quiver.from_json(_require_keys(_load_json(args.file), "quiver"))
     if action == "paths":
         paths = quiverlab.path_basis(q, args.max_len)
         _emit(args, {
@@ -651,6 +692,9 @@ def build_parser():
     return top
 
 
+PARSER = build_parser()
+
+
 # Integer flags that bound a computation; a negative bound is an input error.
 NONNEGATIVE_FLAGS = ("weight_bound", "trunc", "depth", "window_size")
 
@@ -664,8 +708,7 @@ def _check_bounds(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         _check_bounds(args)
         return args.func(args)

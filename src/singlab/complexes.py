@@ -19,7 +19,7 @@ through the degree filtration (truncated_cohomology_dims).
 from __future__ import annotations
 
 from .errors import DegreeMismatch, InputError, NotHomogeneous, RingMismatch
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, cohomology_at
 from .polymat import PolyMatrix
 from .polyring import QuotientRing, Ring
 
@@ -596,91 +596,41 @@ def truncated_cohomology_dims(c, bound, slack=None, degrees=None):
         + [c.next_degree(d) for d in degrees]
         + [c.prev_degree(d) for d in degrees]
     )}
-    big_index = {
-        d: {key: k for k, key in enumerate(b)} for d, b in big_bases.items()
+    big_keys = {d: set(b) for d, b in big_bases.items()}
+
+    deltas = {}
+
+    def delta(key):
+        # key = (degree, generator, exponent); terms beyond the big bound
+        # drop out.  A key of low enough level is both a cycle candidate and
+        # a boundary source, so its image is computed once.
+        col = deltas.get(key)
+        if col is None:
+            d, g, exp = key
+            nd = c.next_degree(d)
+            mono = ring.monomial(exp)
+            mat = c.differential(d)
+            col = {}
+            for r in range(mat.rows):
+                p = mat.entry(r, g)
+                if p.is_zero():
+                    continue
+                for e2, coeff in base.reduce(p * mono).terms.items():
+                    if (r, e2) in big_keys[nd]:
+                        col[(nd, r, e2)] = coeff
+            deltas[key] = col
+        return col
+
+    def level(d, cutoff):
+        return [
+            (d, g, exp)
+            for (g, exp) in big_bases.get(d, [])
+            if ring.weighted_degree(exp) <= cutoff
+        ]
+
+    return {
+        d: cohomology_at(
+            field, level(d, bound), delta, level(c.prev_degree(d), bound + slack)
+        )[0]
+        for d in degrees
     }
-
-    def image_vector(d, g, exp):
-        mono = ring.monomial(exp)
-        nd = c.next_degree(d)
-        vec = [field.zero()] * len(big_bases[nd])
-        mat = c.differential(d)
-        for r in range(mat.rows):
-            p = mat.entry(r, g)
-            if p.is_zero():
-                continue
-            image = base.reduce(p * mono)
-            for e2, coeff in image.terms.items():
-                vec[big_index[nd][(r, e2)]] = (
-                    vec[big_index[nd][(r, e2)]] + coeff
-                )
-        return vec
-
-    out = {}
-    for d in degrees:
-        small = [
-            (g, exp)
-            for (g, exp) in big_bases[d]
-            if ring.weighted_degree(exp) <= bound
-        ]
-        if not small:
-            out[d] = 0
-            continue
-        nd_len = len(big_bases[c.next_degree(d)])
-        cols = [image_vector(d, g, exp) for (g, exp) in small]
-        mat = ExactMatrix(
-            nd_len,
-            len(cols),
-            {
-                (r, j): v
-                for j, col in enumerate(cols)
-                for r, v in enumerate(col)
-                if v
-            },
-            field,
-        )
-        kernel = mat.kernel_basis()
-        if not kernel:
-            out[d] = 0
-            continue
-        # kernel vectors as big-space coordinate vectors at degree d
-        kvecs = []
-        for kv in kernel:
-            vec = [field.zero()] * len(big_bases[d])
-            for j, (g, exp) in enumerate(small):
-                if kv[j]:
-                    vec[big_index[d][(g, exp)]] = kv[j]
-            kvecs.append(vec)
-        pd = c.prev_degree(d)
-        prev_small = [
-            (g, exp)
-            for (g, exp) in big_bases.get(pd, [])
-            if ring.weighted_degree(exp) <= bound + slack
-        ]
-        ivecs = []
-        if c.differential(pd).rows:
-            for (g, exp) in prev_small:
-                mono = ring.monomial(exp)
-                vec = [field.zero()] * len(big_bases[d])
-                mat_prev = c.differential(pd)
-                for r in range(mat_prev.rows):
-                    p = mat_prev.entry(r, g)
-                    if p.is_zero():
-                        continue
-                    image = base.reduce(p * mono)
-                    for e2, coeff in image.terms.items():
-                        idx = big_index[d].get((r, e2))
-                        if idx is None:
-                            continue  # beyond big bound; safe to drop for rank
-                        vec[idx] = vec[idx] + coeff
-                if any(vec):
-                    ivecs.append(vec)
-        n = len(big_bases[d])
-        from .linalg import matrix_from_columns
-
-        rank_i = (
-            matrix_from_columns(field, ivecs, rows=n).rank() if ivecs else 0
-        )
-        both = matrix_from_columns(field, ivecs + kvecs, rows=n).rank()
-        out[d] = both - rank_i
-    return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .errors import InputError, WindowExceedsBound
-from .linalg import matrix_from_columns
+from .linalg import cohomology_at, matrix_from_columns
 
 
 class CurvedAlgebra:
@@ -264,9 +264,8 @@ def _group_by_degree(a, keys, degree_of):
 
 
 def _truncated_cohomology(spec, degree_of, delta_of, window, guard=True):
-    """Shared kernel/image bookkeeping for both variants."""
+    """Dims and representatives in a window, for both variants."""
     a = spec.algebra
-    field = a.field
     L = spec.length_bound
     if guard and max(window) >= L - 1:
         raise WindowExceedsBound(
@@ -274,84 +273,40 @@ def _truncated_cohomology(spec, degree_of, delta_of, window, guard=True):
         )
     keys = _cochain_basis(spec) if spec.variant == "COCHAIN" else _chain_basis(spec)
     by_degree = _group_by_degree(a, keys, degree_of)
-    index = {
-        n: {key: i for i, key in enumerate(ks)} for n, ks in by_degree.items()
-    }
+    degree = {key: n for n, ks in by_degree.items() for key in ks}
+    slot = 0 if spec.variant == "COCHAIN" else 1
 
-    def arity(key):
-        return len(key[0]) if spec.variant == "COCHAIN" else len(key[1])
+    def step(n):
+        return n + 1 if a.grading == "Z" else (n + 1) % 2
 
-    def delta_columns(n, sources):
-        cols = []
-        tgt_n = n + 1 if a.grading == "Z" else (n + 1) % 2
-        tgt_index = index.get(tgt_n, {})
-        tgt_len = len(by_degree.get(tgt_n, []))
-        for key in sources:
-            vec = [field.zero()] * tgt_len
-            for tkey, c in delta_of(spec, key).items():
-                pos = tgt_index.get(tkey)
-                if pos is None:
-                    continue  # only possible above the length bound
-                vec[pos] = vec[pos] + c
-            cols.append(vec)
-        return cols, tgt_len
+    def defined(n):
+        """Keys of degree n on which the truncated differential is total."""
+        return [key for key in by_degree.get(n, []) if len(key[slot]) <= L - 1]
+
+    deltas = {}
+
+    def delta(key):
+        # the part of delta(key) one degree up (all of it unless the
+        # algebra's grading is broken); a key is a cycle candidate in its
+        # degree and a boundary source for the next, so it is computed once
+        d = deltas.get(key)
+        if d is None:
+            up = step(degree[key])
+            d = deltas[key] = {
+                t: c for t, c in delta_of(spec, key).items() if degree[t] == up
+            }
+        return d
 
     dims = {}
     reps = {}
     cache = {}
     for n in window:
         nn = n % 2 if a.grading == "Z2" else n
-        if nn in cache:
-            dims[n], reps[n] = cache[nn]
-            continue
-        space = by_degree.get(nn, [])
-        defined = [key for key in space if arity(key) <= L - 1]
-        if not defined:
-            cache[nn] = (0, [])
-            dims[n], reps[n] = cache[nn]
-            continue
-        cols, _ = delta_columns(nn, defined)
-        mat = matrix_from_columns(field, cols)
-        kernel = mat.kernel_basis()
-        kvecs = []
-        amb = len(space)
-        amb_index = index[nn]
-        for kv in kernel:
-            vec = [field.zero()] * amb
-            for j, key in enumerate(defined):
-                if kv[j]:
-                    vec[amb_index[key]] = kv[j]
-            kvecs.append(vec)
-        prev_n = nn - 1 if a.grading == "Z" else (nn + 1) % 2
-        prev_defined = [
-            key for key in by_degree.get(prev_n, []) if arity(key) <= L - 1
-        ]
-        ivecs = []
-        for key in prev_defined:
-            vec = [field.zero()] * amb
-            hit = False
-            for tkey, c in delta_of(spec, key).items():
-                pos = amb_index.get(tkey)
-                if pos is not None and c:
-                    vec[pos] = vec[pos] + c
-                    hit = True
-            if hit:
-                ivecs.append(vec)
-        rank_i = matrix_from_columns(field, ivecs, rows=amb).rank() if ivecs else 0
-        _, pivots = matrix_from_columns(field, ivecs + kvecs, rows=amb).rref()
-        chosen = [
-            kvecs[pcol - len(ivecs)] for pcol in pivots if pcol >= len(ivecs)
-        ]
-        cache[nn] = (
-            len(pivots) - rank_i,
-            [_vector_to_cochain(field, vec, by_degree[nn]) for vec in chosen],
-        )
+        if nn not in cache:
+            prev_n = nn - 1 if a.grading == "Z" else (nn + 1) % 2
+            cache[nn] = cohomology_at(a.field, defined(nn), delta, defined(prev_n))
         dims[n], reps[n] = cache[nn]
-    return dims, reps, by_degree, index
-
-
-def _vector_to_cochain(field, vec, keys):
-    return {keys[i]: v for i, v in enumerate(vec) if v}
+    return dims, reps
 
 
 class HochschildCohomology:
@@ -444,7 +399,7 @@ def hochschild_cohomology(spec, window):
     if spec.variant != "COCHAIN":
         raise InputError("cohomology needs a COCHAIN spec")
     a = spec.algebra
-    dims, reps, _, _ = _truncated_cohomology(
+    dims, reps = _truncated_cohomology(
         spec,
         lambda key: _cochain_degree(a, key[0], key[1]),
         _cochain_delta_basis,
@@ -568,7 +523,7 @@ def hochschild_homology(spec, window):
         d = _chain_degree(a, key[0], key[1])
         return d if a.grading == "Z2" else -d
 
-    dims, _, _, _ = _truncated_cohomology(
+    dims, _ = _truncated_cohomology(
         spec,
         neg_degree,
         _chain_b_basis,

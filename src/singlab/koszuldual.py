@@ -10,11 +10,14 @@ prefixes, and joining two letters costs (-1)^{deg of the left letter}.
 Cobar words are bounded by total letter weight (for coalgebras built
 from bar complexes a letter's weight is its bar word length), which keeps
 the counit check Omega B A -> A finite.
+
+The bar complex lists its words and their degrees up front but computes
+the differential of a word only when asked, so a Koszul dual window reads
+only the degrees it needs; its cohomology goes through
+`linalg.cohomology_at`.
 """
 
 from __future__ import annotations
-
-from itertools import product as iproduct
 
 from .errors import (
     InputError,
@@ -23,7 +26,7 @@ from .errors import (
     WindowExceedsBound,
 )
 from .findim import FinDimAlgebra
-from .linalg import matrix_from_columns
+from .linalg import ExactMatrix, SpanBuilder, cohomology_at
 
 
 class AugmentedAlgebra:
@@ -79,18 +82,19 @@ class AugmentedAlgebra:
 class BarPiece:
     """Word length n piece of the bar construction."""
 
-    __slots__ = ("length", "basis", "degrees", "internal", "external")
+    __slots__ = ("length", "basis", "degrees")
 
-    def __init__(self, length, basis, degrees, internal, external):
+    def __init__(self, length, basis, degrees):
         self.length = length
         self.basis = basis
         self.degrees = degrees
-        self.internal = internal  # {word: {word: coeff}} same length
-        self.external = external  # {word: {word: coeff}} length - 1
 
 
 class BarComplex:
-    """Words of length <= L over the shifted augmentation ideal."""
+    """Words of length <= L over the shifted augmentation ideal.
+
+    Only the words and their degrees are stored; `delta` computes the
+    differential of one word when asked."""
 
     __slots__ = ("aug", "length_bound", "pieces")
 
@@ -100,60 +104,46 @@ class BarComplex:
         self.aug = aug
         self.length_bound = length_bound
         letters = aug.abar()
-        field = aug.field
-        alg = aug.algebra
-        self.pieces = {}
-        for n in range(length_bound + 1):
-            basis = list(iproduct(letters, repeat=n))
-            degrees = [self.word_degree(w) for w in basis]
-            internal = {}
-            external = {}
-            for w in basis:
-                d_i = {}
-                for j in range(n):
-                    pre = -1 if self._prefix(w, j) % 2 else 1
-                    for k, c in aug.diff.get(w[j], {}).items():
-                        tw = w[:j] + (k,) + w[j + 1 :]
-                        cur = d_i.get(tw, field.zero()) + pre * c
-                        if cur:
-                            d_i[tw] = cur
-                        else:
-                            d_i.pop(tw, None)
-                if d_i:
-                    internal[w] = d_i
-                d_e = {}
-                for j in range(n - 1):
-                    pre = self._prefix(w, j)
-                    sj = aug.deg(w[j])
-                    sign = -1 if (pre + sj) % 2 else 1
-                    for k, c in alg.product_basis(w[j], w[j + 1]).items():
-                        tw = w[:j] + (k,) + w[j + 2 :]
-                        cur = d_e.get(tw, field.zero()) + sign * c
-                        if cur:
-                            d_e[tw] = cur
-                        else:
-                            d_e.pop(tw, None)
-                if d_e:
-                    external[w] = d_e
-            self.pieces[n] = BarPiece(n, basis, degrees, internal, external)
-
-    def _prefix(self, word, upto):
-        return sum(self.aug.deg(i) - 1 for i in word[:upto])
+        shifted = [aug.deg(i) - 1 for i in letters]
+        basis, degrees = [()], [0]
+        self.pieces = {0: BarPiece(0, basis, degrees)}
+        for n in range(1, length_bound + 1):
+            # each shorter word followed by each letter: lexicographic order
+            basis = [w + (i,) for w in basis for i in letters]
+            degrees = [d + s for d in degrees for s in shifted]
+            self.pieces[n] = BarPiece(n, basis, degrees)
 
     def word_degree(self, word):
         return sum(self.aug.deg(i) - 1 for i in word)
 
     def delta(self, word):
-        """Full differential of a basis word: {word: coeff}."""
-        n = len(word)
+        """Full differential of a basis word: {word: coeff}.
+
+        The internal part (same length) comes before the external part
+        (adjacent products, one letter shorter)."""
+        aug = self.aug
+        field = aug.field
+        alg = aug.algebra
         out = {}
-        for src in (self.pieces[n].internal, self.pieces[n].external):
-            for tw, c in src.get(word, {}).items():
-                cur = out.get(tw, self.aug.field.zero()) + c
-                if cur:
-                    out[tw] = cur
-                else:
-                    out.pop(tw, None)
+
+        def bump(tw, coeff):
+            cur = out.get(tw, field.zero()) + coeff
+            if cur:
+                out[tw] = cur
+            else:
+                out.pop(tw, None)
+
+        prefix = [0]
+        for i in word:
+            prefix.append(prefix[-1] + aug.deg(i) - 1)
+        for j, letter in enumerate(word):
+            pre = -1 if prefix[j] % 2 else 1
+            for k, c in aug.diff.get(letter, {}).items():
+                bump(word[:j] + (k,) + word[j + 1 :], pre * c)
+        for j in range(len(word) - 1):
+            sign = -1 if (prefix[j] + aug.deg(word[j])) % 2 else 1
+            for k, c in alg.product_basis(word[j], word[j + 1]).items():
+                bump(word[:j] + (k,) + word[j + 2 :], sign * c)
         return out
 
     def basis_by_degree(self):
@@ -425,42 +415,7 @@ def cobar(coalgebra, weight_bound):
     return CobarComplex(coalgebra, weight_bound)
 
 
-# -- cohomology bookkeeping ------------------------------------------------------
-
-
-def _complex_cohomology(field, basis_by_degree, delta_of, degree, shift=1):
-    """dim ker / im at one degree of a {degree: basis} complex."""
-    space = basis_by_degree.get(degree, [])
-    if not space:
-        return 0, []
-    index = {w: i for i, w in enumerate(space)}
-    tgt = basis_by_degree.get(degree + shift, [])
-    tgt_index = {w: i for i, w in enumerate(tgt)}
-    cols = []
-    for w in space:
-        vec = [field.zero()] * len(tgt)
-        for tw, c in delta_of(w).items():
-            pos = tgt_index.get(tw)
-            if pos is not None:
-                vec[pos] = vec[pos] + c
-        cols.append(vec)
-    mat = matrix_from_columns(field, cols, rows=len(tgt))
-    kernel = mat.kernel_basis()
-    prev = basis_by_degree.get(degree - shift, [])
-    ivecs = []
-    for w in prev:
-        vec = [field.zero()] * len(space)
-        hit = False
-        for tw, c in delta_of(w).items():
-            pos = index.get(tw)
-            if pos is not None and c:
-                vec[pos] = vec[pos] + c
-                hit = True
-        if hit:
-            ivecs.append(vec)
-    rank_i = matrix_from_columns(field, ivecs, rows=len(space)).rank() if ivecs else 0
-    both = matrix_from_columns(field, ivecs + list(kernel), rows=len(space)).rank()
-    return both - rank_i, (space, index, kernel, ivecs)
+# -- the Koszul dual ------------------------------------------------------------
 
 
 class KoszulDual:
@@ -471,7 +426,7 @@ class KoszulDual:
         self.bar_complex = bar_complex
         self.dims = dims
         self._reps = reps  # degree -> list of functionals {word: scalar}
-        self._cycles = cycle_data  # degree -> (space, index, cycle vectors)
+        self._cycles = cycle_data  # degree -> chosen cycles {word: scalar}
 
     def functional(self, degree, k):
         return self._reps[degree][k]
@@ -503,21 +458,44 @@ class KoszulDual:
 
     def class_of(self, functional, degree):
         """Coefficients of a dual-cocycle's class against the reps."""
-        data = self._cycles.get(degree)
-        if data is None:
+        chosen = self._cycles.get(degree)
+        if chosen is None:
             return None
-        space, index, _, _, chosen = data
         field = self.augmented.field
         # evaluate on the chosen homology class representatives
         values = []
         for z in chosen:
             acc = field.zero()
             for w, c in functional.items():
-                pos = index.get(w)
-                if pos is not None:
-                    acc = acc + c * z[pos]
+                if w in z:
+                    acc = acc + c * z[w]
             values.append(acc)
         return values
+
+
+def _dual_functionals(field, space, chosen, images):
+    """Functionals on `space` that are 1 on one chosen cycle and 0 on the
+    others, on the boundaries `images`, and on the unit vectors that
+    complete them to a basis (each unit vector outside the span so far)."""
+    pos = {w: i for i, w in enumerate(space)}
+    one = field.one()
+    rows = [{pos[w]: c for w, c in vec.items()} for vec in chosen + images]
+    span = SpanBuilder(field)
+    for row in rows:
+        span.add(row)
+    rows += [{j: one} for j in range(len(space)) if span.add({j: one})]
+    # The rows span the space, so rref([rows | first len(chosen) unit
+    # columns]) is [I | F] on top, and column k of F is functional k.
+    size = len(space)
+    entries = {(r, j): v for r, row in enumerate(rows) for j, v in row.items()}
+    for k in range(len(chosen)):
+        entries[(k, size + k)] = one
+    red, _ = ExactMatrix(len(rows), size + len(chosen), entries, field).rref()
+    funcs = [{} for _ in chosen]
+    for (i, j), v in sorted(red.entries.items()):
+        if j >= size:
+            funcs[j - size][space[i]] = v
+    return funcs
 
 
 def koszul_dual_cohomology(aug, length_bound, window):
@@ -525,7 +503,8 @@ def koszul_dual_cohomology(aug, length_bound, window):
 
     H^n of the dual equals the dual of H^{-n}(BA); representatives are
     functionals supported on chosen homology classes and vanishing on
-    boundaries and a fixed complement.
+    boundaries and a fixed complement.  Only the words of the degrees the
+    window reads have their differential computed.
     """
     if max(window) >= length_bound - 1:
         raise WindowExceedsBound(
@@ -534,49 +513,34 @@ def koszul_dual_cohomology(aug, length_bound, window):
     bc = bar(aug, length_bound)
     field = aug.field
     table = bc.basis_by_degree()
+    deltas = {}
+
+    def delta(word):
+        # the part of d(word) one degree up (all of it for a graded
+        # algebra); a word is a cycle candidate in its degree and a
+        # boundary source for the next one, so it is computed once
+        d = deltas.get(word)
+        if d is None:
+            up = bc.word_degree(word) + 1
+            d = deltas[word] = {
+                tw: c for tw, c in bc.delta(word).items()
+                if bc.word_degree(tw) == up
+            }
+        return d
+
     dims = {}
     reps = {}
     cycles = {}
     for n in window:
-        dim, data = _complex_cohomology(field, table, bc.delta, -n)
-        dims[n] = dim
-        if data is None or dim == 0:
+        space = table.get(-n, [])
+        prev = table.get(-n - 1, [])
+        dims[n], chosen = cohomology_at(field, space, delta, prev)
+        if not chosen:
             reps[n] = []
             continue
-        space, index, kernel, ivecs = data
-        mat = matrix_from_columns(field, ivecs + list(kernel), rows=len(space))
-        _, pivots = mat.rref()
-        chosen = [
-            kernel[p - len(ivecs)] for p in pivots if p >= len(ivecs)
-        ]
-        # dual functionals: 1 on one chosen class, 0 on the others,
-        # 0 on boundaries and on a completing complement
-        others = ivecs
-        span = matrix_from_columns(field, chosen + others, rows=len(space))
-        _, span_piv = span.rref()
-        complement = []
-        for j in range(len(space)):
-            unit_vec = [field.zero()] * len(space)
-            unit_vec[j] = field.one()
-            test = matrix_from_columns(
-                field, chosen + others + complement + [unit_vec],
-                rows=len(space),
-            )
-            if test.rank() > span.rank() + len(complement):
-                complement.append(unit_vec)
-        full = matrix_from_columns(
-            field, chosen + others + complement, rows=len(space)
-        )
-        funcs = []
-        for k in range(dim):
-            rhs = [field.zero()] * (len(chosen) + len(others) + len(complement))
-            rhs[k] = field.one()
-            sol = full.transpose().solve(rhs)
-            funcs.append(
-                {space[i]: sol[i] for i in range(len(space)) if sol[i]}
-            )
-        reps[n] = funcs
-        cycles[n] = (space, index, kernel, ivecs, chosen)
+        images = [delta(w) for w in prev]
+        reps[n] = _dual_functionals(field, space, chosen, images)
+        cycles[n] = chosen
     return KoszulDual(aug, bc, dims, reps, cycles)
 
 
@@ -589,8 +553,6 @@ def counit_h0_check(aug, length_bound):
     force ker(counit) = im(d)."""
     if any(d != 0 for d in aug.degrees):
         raise InputError("counit check implemented for degree-0 algebras")
-    from .linalg import SpanBuilder
-
     bc = bar(aug, length_bound)
     c = bar_coalgebra(bc)
     om = cobar(c, length_bound)
@@ -619,31 +581,28 @@ def counit_h0_check(aug, length_bound):
                 break
             vec = alg.multiply(vec, alg.basis_vector(target))
         counit_cols.append(alg.zero_vector() if dead else vec)
-    surj = SpanBuilder(field, alg.dim)
+    surj = SpanBuilder(field)
     for col in counit_cols:
-        surj.add(col)
+        surj.add(dict(enumerate(col)))
     if surj.rank != alg.dim:
         return False
 
     # image of d : degree -1 -> degree 0, streamed; also check the counit
     # kills every image vector
-    span = SpanBuilder(field, len(deg0))
+    span = SpanBuilder(field)
     for w in degm1:
-        vec = [field.zero()] * len(deg0)
-        hit = False
-        for tw, coeff in om.delta(w).items():
-            pos = index0.get(tw)
-            if pos is not None and coeff:
-                vec[pos] = vec[pos] + coeff
-                hit = True
-        if not hit:
+        vec = {
+            index0[tw]: coeff
+            for tw, coeff in om.delta(w).items()
+            if tw in index0 and coeff
+        }
+        if not vec:
             continue
         applied = alg.zero_vector()
-        for pos, coeff in enumerate(vec):
-            if coeff:
-                applied = [
-                    a + coeff * b for a, b in zip(applied, counit_cols[pos])
-                ]
+        for pos, coeff in vec.items():
+            applied = [
+                a + coeff * b for a, b in zip(applied, counit_cols[pos])
+            ]
         if any(applied):
             return False  # im(d) not inside ker(counit)
         span.add(vec)

@@ -1,10 +1,14 @@
-"""Sparse exact matrices over QQ, QQ(i), or GF(p), with rref and kernels.
+"""Sparse exact matrices over QQ, QQ(i), or GF(p), with rref, kernels and
+the cohomology of a finite complex.
 
 Elimination is sparse Gauss-Jordan on rows stored as ``{col: value}``
 dicts, using only the field's own ``+ - * /``.  One routine, `_reduce`,
 reduces a row against normalised pivot rows in increasing column order;
-`ExactMatrix.rref` and `SpanBuilder` both use it.  All values are
-immutable after construction; every operation returns a fresh matrix.
+`ExactMatrix.rref` and `SpanBuilder` both use it.  `cohomology_at` is the
+one "cycles modulo boundaries" routine of the algebra modules: it takes
+basis keys and a ``delta(key) -> {key: coeff}`` callback, never dense
+vectors.  All matrices are immutable after construction; every operation
+returns a fresh matrix.
 """
 
 from __future__ import annotations
@@ -225,18 +229,14 @@ class ExactMatrix:
 
     def kernel_basis(self):
         """Vectors spanning ker(self); count = cols - rank."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        zero, one = self.field.zero(), self.field.one()
-        basis = {}
-        for f in range(self.cols):
-            if f not in pivot_set:
-                basis[f] = [zero] * self.cols
-                basis[f][f] = one
-        for (i, f), v in red.entries.items():
-            if f in basis:
-                basis[f][pivots[i]] = -v
-        return list(basis.values())
+        zero = self.field.zero()
+        out = []
+        for vec in _kernel(self):
+            dense = [zero] * self.cols
+            for j, v in vec.items():
+                dense[j] = v
+            out.append(dense)
+        return out
 
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None when inconsistent."""
@@ -277,16 +277,15 @@ def matrix_from_columns(field, columns, rows=None):
 
 
 class SpanBuilder:
-    """Incremental echelonised span of coordinate vectors.
+    """Incremental echelonised span of sparse vectors ``{index: value}``.
 
     add() reduces the vector against the current pivot rows and keeps it
     when it contributes a new pivot; rank queries are O(1)."""
 
-    __slots__ = ("field", "length", "tails")
+    __slots__ = ("field", "tails")
 
-    def __init__(self, field, length):
+    def __init__(self, field):
         self.field = field
-        self.length = length
         self.tails = {}  # pivot column -> normalised row without its leading 1
 
     @property
@@ -294,7 +293,7 @@ class SpanBuilder:
         return len(self.tails)
 
     def _reduce(self, vec):
-        return _reduce({i: v for i, v in enumerate(vec) if v}, self.tails)
+        return _reduce({i: v for i, v in vec.items() if v}, self.tails)
 
     def add(self, vec):
         """Insert; returns True when the rank grew."""
@@ -307,3 +306,51 @@ class SpanBuilder:
 
     def contains(self, vec):
         return not self._reduce(vec)
+
+
+def _kernel(mat):
+    """Sparse kernel vectors ``{col: value}`` of `mat`, one per free column."""
+    red, pivots = mat.rref()
+    pivot_set = set(pivots)
+    one = mat.field.one()
+    basis = {f: {f: one} for f in range(mat.cols) if f not in pivot_set}
+    for (i, f), v in red.entries.items():
+        if f in basis:
+            basis[f][pivots[i]] = -v
+    return list(basis.values())
+
+
+def cohomology_at(field, cycles, delta, boundaries):
+    """Cohomology at one spot of a finite complex, from sparse data.
+
+    `cycles` lists the keys whose cycles count, `delta(key)` is the
+    differential of a basis key as ``{key: coeff}``, and `boundaries` lists
+    the keys whose differentials land in this spot.  The kernel of delta on
+    `cycles` comes from one rref; the boundaries, then the kernel vectors,
+    go into one `SpanBuilder`.  Returns ``(dim, reps)``: `reps` are the
+    kernel vectors that raised its rank, as ``{key: coeff}`` in `cycles`
+    order, and ``dim = len(reps)``.  The boundaries need not be cycles (a
+    truncated complex may have d^2 != 0 at its edge); the count is always
+    rank(boundaries + cycles) - rank(boundaries).
+    """
+    if not cycles:
+        return 0, []
+    rows = {}
+    entries = {}
+    for j, key in enumerate(cycles):
+        for t, c in delta(key).items():
+            entries[(rows.setdefault(t, len(rows)), j)] = c
+    kernel = _kernel(ExactMatrix(len(rows), len(cycles), entries, field))
+    if not kernel:
+        return 0, []
+    index = {key: j for j, key in enumerate(cycles)}
+    span = SpanBuilder(field)
+    for key in boundaries:
+        span.add({index.setdefault(t, len(index)): c
+                  for t, c in delta(key).items()})
+    reps = [
+        {cycles[j]: vec[j] for j in sorted(vec)}
+        for vec in kernel
+        if span.add(vec)
+    ]
+    return len(reps), reps

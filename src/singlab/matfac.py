@@ -26,7 +26,7 @@ from .errors import (
     SigmaMismatch,
     VariableClash,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, cohomology_at
 from .polymat import PolyMatrix
 from .polyring import (
     Poly,
@@ -354,54 +354,29 @@ class CokernelPresentation:
         ring = base.ring
         field = ring.field
         n = self.generators
-        maxdeg = max(
-            [p.total_weight() for row in self.matrix.data for p in row if p]
-            or [0]
-        )
+
+        # The two-spot complex R^cols -> R^n -> 0 on filtration pieces:
+        # keys (0, g, e) span R^n, keys (-1, c, e) the columns' sources.
+        def delta(key):
+            spot, c, e = key
+            if spot == 0:
+                return {}
+            mono = ring.monomial(e)
+            image = {}
+            for r in range(n):
+                p = self.matrix.entry(r, c)
+                if p.is_zero():
+                    continue
+                for e2, coeff in base.reduce(p * mono).terms.items():
+                    image[(0, r, e2)] = coeff
+            return image
+
         out = []
         for d in range(bound + 1):
-            monos = base.monomials_up_to_weight(d + maxdeg)
-            index = {}
-            for g in range(n):
-                for e in monos:
-                    index[(g, e)] = len(index)
-            cols = []
-            for c in range(self.matrix.cols):
-                for e in base.monomials_up_to_weight(d):
-                    mono = ring.monomial(e)
-                    vec = [field.zero()] * len(index)
-                    nonzero = False
-                    for r in range(n):
-                        p = self.matrix.entry(r, c)
-                        if p.is_zero():
-                            continue
-                        image = base.reduce(p * mono)
-                        for e2, coeff in image.terms.items():
-                            vec[index[(r, e2)]] = vec[index[(r, e2)]] + coeff
-                            nonzero = True
-                    if nonzero:
-                        cols.append(vec)
-            small = [
-                k
-                for (g, e), k in index.items()
-                if ring.weighted_degree(e) <= d
-            ]
-            from .linalg import matrix_from_columns
-
-            rank_cols = (
-                matrix_from_columns(field, cols, rows=len(index)).rank()
-                if cols
-                else 0
-            )
-            unit_vecs = []
-            for k in small:
-                v = [field.zero()] * len(index)
-                v[k] = field.one()
-                unit_vecs.append(v)
-            both = matrix_from_columns(
-                field, cols + unit_vecs, rows=len(index)
-            ).rank()
-            out.append(both - rank_cols)
+            monos = base.monomials_up_to_weight(d)
+            small = [(0, g, e) for g in range(n) for e in monos]
+            sources = [(-1, c, e) for c in range(self.matrix.cols) for e in monos]
+            out.append(cohomology_at(field, small, delta, sources)[0])
         return out
 
 

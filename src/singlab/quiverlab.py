@@ -19,7 +19,7 @@ from .errors import (
     WindowExceedsBound,
 )
 from .fields import QQ, QQI, GaussianRational
-from .linalg import matrix_from_columns
+from .linalg import cohomology_at, matrix_from_columns
 
 
 class Quiver:
@@ -184,7 +184,7 @@ def _span_of_products(q, relations, paths, index, max_len, field):
     """Echelonised span of all p * r * q with top length <= max_len."""
     from .linalg import SpanBuilder
 
-    span = SpanBuilder(field, len(paths))
+    span = SpanBuilder(field)
     for rel in relations:
         top = rel.max_length()
         starts = {path_source(q, pp) for pp in rel.terms}
@@ -204,10 +204,7 @@ def _span_of_products(q, relations, paths, index, max_len, field):
                 )
                 if not prod.terms:
                     continue
-                vec = [field.zero()] * len(paths)
-                for pp, c in prod.terms.items():
-                    vec[index[pp]] = vec[index[pp]] + c
-                span.add(vec)
+                span.add({index[pp]: c for pp, c in prod.terms.items()})
     return span
 
 
@@ -227,10 +224,7 @@ def truncated_algebra_dim(q, relations, max_len, field=QQ):
     pos = 0
     for l in range(max_len + 1):
         while pos < len(by_length) and len(paths[by_length[pos]][1]) <= l:
-            i = by_length[pos]
-            v = [field.zero()] * len(paths)
-            v[i] = field.one()
-            if span.add(v):
+            if span.add({by_length[pos]: field.one()}):
                 count += 1
             pos += 1
         dims.append(count)
@@ -301,7 +295,7 @@ class DGQuiverAlgebra:
         field = self.field
         paths = path_basis(dq, max_len)
         index = {p: i for i, p in enumerate(paths)}
-        span = SpanBuilder(field, len(paths))
+        span = SpanBuilder(field)
         for i in range(self.quiver.n):
             rel = self.relations[i]
             for p in paths:
@@ -319,19 +313,14 @@ class DGQuiverAlgebra:
                     )
                     if not prod.terms:
                         continue
-                    vec = [field.zero()] * len(paths)
-                    for pp, c in prod.terms.items():
-                        vec[index[pp]] = vec[index[pp]] + c
-                    span.add(vec)
+                    span.add({index[pp]: c for pp, c in prod.terms.items()})
         dims = []
         count = 0
         order = sorted(range(len(paths)), key=lambda k: len(paths[k][1]))
         pos = 0
         for l in range(max_len + 1):
             while pos < len(order) and len(paths[order[pos]][1]) <= l:
-                v = [field.zero()] * len(paths)
-                v[order[pos]] = field.one()
-                if span.add(v):
+                if span.add({order[pos]: field.one()}):
                     count += 1
                 pos += 1
             dims.append(count)
@@ -674,45 +663,21 @@ def drinfeld_cohomology(complex_, window):
             f"window depth {depth} needs depth bound > {depth + 1}"
         )
     field = complex_.algebra.field
-    dims = {}
     bases = {}
     for deg in range(min(window) - 1, 1):
         bases[deg] = complex_.component_basis(deg)
-    for n in window:
-        space = bases.get(n, [])
-        if not space:
-            dims[n] = 0
-            continue
-        index = {k: i for i, k in enumerate(space)}
-        tgt = bases.get(n + 1, [])
-        tgt_index = {k: i for i, k in enumerate(tgt)}
-        cols = []
-        for key in space:
-            vec = [field.zero()] * len(tgt)
-            for tkey, c in complex_.differential(key, n).items():
-                vec[tgt_index[tkey]] = vec[tgt_index[tkey]] + c
-            cols.append(vec)
-        mat = matrix_from_columns(field, cols, rows=len(tgt))
-        kernel = mat.kernel_basis()
-        prev = bases.get(n - 1, [])
-        ivecs = []
-        for key in prev:
-            vec = [field.zero()] * len(space)
-            hit = False
-            for tkey, c in complex_.differential(key, n - 1).items():
-                pos = index.get(tkey)
-                if pos is not None and c:
-                    vec[pos] = vec[pos] + c
-                    hit = True
-            if hit:
-                ivecs.append(vec)
-        rank_i = (
-            matrix_from_columns(field, ivecs, rows=len(space)).rank()
-            if ivecs
-            else 0
-        )
-        both = matrix_from_columns(
-            field, ivecs + list(kernel), rows=len(space)
-        ).rank()
-        dims[n] = both - rank_i
-    return dims
+    deltas = {}
+
+    def delta(key):
+        # (k,) spans Q^0 and (ae, r_1..r_i, ea) spans Q^{-1-i}: the degree
+        # is 1 - len(key).  A key is a cycle candidate in its degree and a
+        # boundary source for the next one, so d(key) is computed once.
+        d = deltas.get(key)
+        if d is None:
+            d = deltas[key] = complex_.differential(key, 1 - len(key))
+        return d
+
+    return {
+        n: cohomology_at(field, bases.get(n, []), delta, bases.get(n - 1, []))[0]
+        for n in window
+    }

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InputError, NotHomogeneous, NotQuadratic
-from .linalg import ExactMatrix, matrix_from_columns
+from .linalg import ExactMatrix, cohomology_at
 from .matfac import MatrixFactorisation
 from .polymat import PolyMatrix
 from .polyring import division_coefficients, format_poly
@@ -356,8 +356,8 @@ class CohomologyTable:
     """Exact slice cohomology of an EndDGAlgebra.
 
     dims: (parity, weight) -> dimension; representatives: PolyRElements,
-    chosen deterministically (pivot columns of the kernel against the
-    image in rref order).
+    chosen deterministically (the kernel basis vectors, in order, that are
+    independent of the image and of the vectors chosen before them).
     """
 
     def __init__(self, end_dg, dims, reps, slices, shift, weights):
@@ -383,33 +383,41 @@ class CohomologyTable:
         key = (parity, weight)
         if key not in self._slices:
             return None
-        basis, index, _ = self._slices[key]
+        basis, index, image = self._slices[key]
         field = self.end_dg.ring.field
-        vec = [field.zero()] * len(basis)
-        for (S, U), p in elt.parts.items():
-            for e, c in p.terms.items():
-                vec[index[(e, S, U)]] = vec[index[(e, S, U)]] + c
         reps = self.representatives.get(key, [])
-        rep_vecs = [self._to_vector(r, key) for r in reps]
-        image = self._image_vectors(key)
-        cols = rep_vecs + image
-        mat = matrix_from_columns(field, cols, rows=len(basis))
+        cols = [_coefficients(r) for r in reps] + image
+        entries = {
+            (index[w], j): c for j, col in enumerate(cols) for w, c in col.items()
+        }
+        mat = ExactMatrix(len(basis), len(cols), entries, field)
+        vec = [field.zero()] * len(basis)
+        for w, c in _coefficients(elt).items():
+            vec[index[w]] = c
         sol = mat.solve(vec)
         if sol is None:
             return None
         return sol[: len(reps)]
 
-    def _to_vector(self, elt, key):
-        basis, index, _ = self._slices[key]
-        field = self.end_dg.ring.field
-        vec = [field.zero()] * len(basis)
-        for (S, U), p in elt.parts.items():
-            for e, c in p.terms.items():
-                vec[index[(e, S, U)]] = vec[index[(e, S, U)]] + c
-        return vec
 
-    def _image_vectors(self, key):
-        return self._slices[key][2]
+def _coefficients(elt):
+    """A PolyRElement as {(e, S, U): coeff}."""
+    return {
+        (e, S, U): c
+        for (S, U), p in elt.parts.items()
+        for e, c in p.terms.items()
+    }
+
+
+def _word_delta(end_dg, word):
+    """delta(x^e theta_S T_U) as {(e2, S2, U2): coeff}."""
+    e, S, U = word
+    mono = end_dg.ring.monomial(e)
+    return {
+        (e2, S2, U2): c
+        for (S2, U2), p in end_dg.delta_word(S, U).parts.items()
+        for e2, c in (mono * p).terms.items()
+    }
 
 
 def _slice_basis_words(end_dg, parity, weight, wth, wt):
@@ -461,6 +469,7 @@ def end_cohomology(end_dg, weight_bound, theta_weights=None, t_weights=None):
     shift = shifts.pop() if shifts else 0
 
     bases = {}
+    home = {}  # word -> the (parity, weight) slice it spans
 
     def basis_at(parity, weight):
         key = (parity % 2, weight)
@@ -468,26 +477,22 @@ def end_cohomology(end_dg, weight_bound, theta_weights=None, t_weights=None):
             words = _slice_basis_words(end_dg, key[0], weight, wth, wt)
             index = {wkey: k for k, wkey in enumerate(words)}
             bases[key] = (words, index)
+            home.update(dict.fromkeys(words, key))
         return bases[key]
 
-    def delta_matrix(parity, weight):
-        src_words, _ = basis_at(parity, weight)
-        tgt_words, tgt_index = basis_at(parity + 1, weight + shift)
-        entries = {}
-        for col, (e, S, U) in enumerate(src_words):
-            mono = ring.monomial(e)
-            image = end_dg.delta_word(S, U)
-            for (S2, U2), p in image.parts.items():
-                for e2, coeff in (mono * p).terms.items():
-                    row = tgt_index.get((e2, S2, U2))
-                    if row is None:
-                        raise NotHomogeneous("delta image leaves the slice")
-                    s = entries.get((row, col), field.zero()) + coeff
-                    if s:
-                        entries[(row, col)] = s
-                    else:
-                        entries.pop((row, col), None)
-        return ExactMatrix(len(tgt_words), len(src_words), entries, field)
+    columns = {}
+
+    def delta(word):
+        # a word is a cycle candidate in its slice and a boundary source
+        # for the next one, so its column is computed once
+        col = columns.get(word)
+        if col is None:
+            col = columns[word] = _word_delta(end_dg, word)
+            parity, weight = home[word]
+            _, tgt_index = basis_at(parity + 1, weight + shift)
+            if any(t not in tgt_index for t in col):
+                raise NotHomogeneous("delta image leaves the slice")
+        return col
 
     dims = {}
     reps = {}
@@ -502,36 +507,18 @@ def end_cohomology(end_dg, weight_bound, theta_weights=None, t_weights=None):
             words, index = basis_at(parity, weight)
             if not words:
                 continue
-            out_mat = delta_matrix(parity, weight)
-            kernel = out_mat.kernel_basis()
             prev_words, _ = basis_at(parity + 1, weight - shift)
-            image_cols = []
-            if prev_words:
-                in_mat = delta_matrix(parity + 1, weight - shift)
-                for j in range(in_mat.cols):
-                    col = [in_mat.entry(i, j) for i in range(in_mat.rows)]
-                    if any(col):
-                        image_cols.append(col)
-            rank_img = (
-                matrix_from_columns(field, image_cols, rows=len(words)).rank()
-                if image_cols
-                else 0
-            )
-            dim = len(kernel) - rank_img
+            dim, chosen = cohomology_at(field, words, delta, prev_words)
             key = (parity, weight)
-            slices[key] = (words, index, image_cols)
+            slices[key] = (words, index, [delta(w) for w in prev_words])
             if dim:
                 dims[key] = dim
-                chosen = _choose_representatives(
-                    field, image_cols, kernel, len(words)
-                )
                 rep_elts = []
                 for vec in chosen:
                     parts = {}
-                    for k, (e, S, U) in enumerate(words):
-                        if vec[k]:
-                            cur = parts.get((S, U), ring.zero())
-                            parts[(S, U)] = cur + ring.monomial(e, vec[k])
+                    for (e, S, U), c in vec.items():
+                        cur = parts.get((S, U), ring.zero())
+                        parts[(S, U)] = cur + ring.monomial(e, c)
                     rep_elts.append(PolyRElement(end_dg.algebra, parts))
                 reps[key] = rep_elts
     return CohomologyTable(end_dg, dims, reps, slices, shift, (wth, wt))
@@ -565,66 +552,33 @@ def end_cohomology_truncated(end_dg, order_bound):
                     words.append((e, S, U))
         bases[parity] = (words, {w: k for k, w in enumerate(words)})
 
-    def delta_columns(parity, cutoff):
-        words, _ = bases[parity]
-        tgt_words, tgt_index = bases[(parity + 1) % 2]
-        cols = []
-        keep = []
-        for (e, S, U) in words:
-            if ring.weighted_degree(e) > cutoff:
-                continue
-            keep.append((e, S, U))
-            mono = ring.monomial(e)
-            vec = [field.zero()] * len(tgt_words)
-            image = end_dg.delta_word(S, U)
-            for (S2, U2), p in image.parts.items():
-                for e2, coeff in (mono * p).terms.items():
-                    pos = tgt_index.get((e2, S2, U2))
-                    if pos is not None:
-                        vec[pos] = vec[pos] + coeff
-            cols.append(vec)
-        return keep, cols
+    deltas = {}
+
+    def delta(word):
+        # terms beyond the truncation drop out; a word of low enough degree
+        # is both a cycle candidate and a boundary source, computed once
+        col = deltas.get(word)
+        if col is None:
+            _, S, U = word
+            _, tgt_index = bases[(len(S) + len(U) + 1) % 2]
+            col = deltas[word] = {
+                t: c for t, c in _word_delta(end_dg, word).items()
+                if t in tgt_index
+            }
+        return col
+
+    def upto(parity, cutoff):
+        return [w for w in bases[parity][0] if ring.weighted_degree(w[0]) <= cutoff]
 
     dims = {}
     for parity in (0, 1):
-        keep, cols = delta_columns(parity, order_bound - maxdeg)
-        tgt_len = len(bases[(parity + 1) % 2][0])
-        mat = matrix_from_columns(field, cols, rows=tgt_len)
-        kernel = mat.kernel_basis()
-        amb_words, amb_index = bases[parity]
-        kvecs = []
-        for kv in kernel:
-            vec = [field.zero()] * len(amb_words)
-            for j, key in enumerate(keep):
-                if kv[j]:
-                    vec[amb_index[key]] = kv[j]
-            kvecs.append(vec)
-        prev_keep, prev_cols = delta_columns((parity + 1) % 2, order_bound)
-        ivecs = [col for col in prev_cols if any(col)]
-        rank_i = (
-            matrix_from_columns(field, ivecs, rows=len(amb_words)).rank()
-            if ivecs
-            else 0
+        dims[parity], _ = cohomology_at(
+            field,
+            upto(parity, order_bound - maxdeg),
+            delta,
+            upto((parity + 1) % 2, order_bound),
         )
-        both = matrix_from_columns(
-            field, ivecs + kvecs, rows=len(amb_words)
-        ).rank()
-        dims[parity] = both - rank_i
     return {"truncated_at": order_bound, "dims": dims}
-
-
-def _choose_representatives(field, image_cols, kernel, length):
-    """Kernel vectors whose columns are pivots after the image block."""
-    cols = image_cols + kernel
-    if not cols:
-        return []
-    mat = matrix_from_columns(field, cols, rows=length)
-    _, pivots = mat.rref()
-    chosen = []
-    for p in pivots:
-        if p >= len(image_cols):
-            chosen.append(kernel[p - len(image_cols)])
-    return chosen
 
 
 # -- Clifford presentations ----------------------------------------------------

@@ -147,6 +147,82 @@ def test_cobar_missing_key_is_input_error(tmp_path):
     )
 
 
+DUAL_NUMBERS = {
+    "basis": ["1", "x"],
+    "unit": "1",
+    "products": {"1,1": {"1": "1"}, "1,x": {"x": "1"}, "x,1": {"x": "1"}},
+}
+
+
+def test_quiver_missing_key_is_input_error(tmp_path):
+    empty = write_json(tmp_path, "empty.json", {})
+    assert_missing_key(
+        run_cli("quiver", "drinfeld", empty, check=False), "algebra"
+    )
+    for action in ("paths", "preproj", "derived"):
+        assert_missing_key(
+            run_cli("quiver", action, empty, check=False), "vertices"
+        )
+    path = write_json(tmp_path, "q.json", {"vertices": ["1"]})
+    assert_missing_key(run_cli("quiver", "paths", path, check=False), "arrows")
+    path = write_json(tmp_path, "d.json", {"algebra": DUAL_NUMBERS})
+    assert_missing_key(
+        run_cli("quiver", "drinfeld", path, check=False), "idempotent"
+    )
+    path = write_json(tmp_path, "d0.json", {"algebra": {}, "idempotent": {}})
+    assert_missing_key(run_cli("quiver", "drinfeld", path, check=False), "basis")
+    proc = run_cli("quiver", "drinfeld", "--schema")
+    assert set(json.loads(proc.stdout)["input"]) == {"algebra", "idempotent"}
+
+
+def test_nested_missing_key_is_input_error(tmp_path):
+    doc = {"ring": {}, "sigma": "x^2", "phi": [["x"]], "psi": [["x"]]}
+    path = write_json(tmp_path, "ring.json", doc)
+    assert_missing_key(run_cli("mf", "verify", path, check=False), "variables")
+    doc["ring"] = ["x"]
+    path = write_json(tmp_path, "ring_list.json", doc)
+    assert_input_error(run_cli("mf", "verify", path, check=False))
+    # weights and field inside the ring stay optional
+    doc["ring"] = {"variables": ["x"]}
+    path = write_json(tmp_path, "ring_min.json", doc)
+    assert json.loads(run_cli("mf", "verify", path).stdout) == {"ok": True}
+
+
+@pytest.mark.parametrize("command, window", [
+    ("hh", "3"),
+    ("hh", "a:b"),
+    ("hh", "3:1"),
+    ("hh", "0:1:2"),
+    ("koszul-dual", "2:0"),
+])
+def test_malformed_window_is_input_error(tmp_path, command, window):
+    path = write_json(tmp_path, "dual.json", DUAL_NUMBERS)
+    assert_input_error(
+        run_cli(command, path, f"--window={window}", check=False)
+    )
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    from singlab import cli
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    path = write_json(tmp_path, "dual.json", DUAL_NUMBERS)
+    for argv in (
+        ["milnor", "--ring", "x,y", "--sigma", "x^3+y^2", "--out", "text"],
+        ["hh", path, "--window", "0:2", "--trunc", "5", "--out", "text"],
+        ["milnor", "--ring", "x,y", "--sigma", "x^3+y^2"],
+        ["hh", path, "--window", "0:2", "--trunc", "5"],
+        ["bar", path, "--trunc", "3", "--out", "text"],
+        ["quiver", "blocks", "--type", "A3", "--lambda", "0,1,0"],
+        ["bar", path, "--trunc", "3"],
+    ):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
 def test_depth_zero_is_not_the_default(tmp_path):
     doc = {
         "algebra": {

@@ -124,6 +124,19 @@ def test_hh_dual_numbers_homology():
     assert [dims[i] for i in range(4)] == [2, 1, 1, 1]
 
 
+def test_terms_off_the_degree_are_dropped():
+    # x*x = x^2 breaks the grading |x| = |x^2| = 1 (validate_curved refuses
+    # it); cohomology still compares each degree with its neighbours only
+    ungraded = CurvedAlgebra(truncated_polynomial_algebra(QQ, 3), "Z", [0, 1, 1])
+    assert not validate_curved(ungraded)[0]
+    spec = HochschildComplexSpec(ungraded, length_bound=5)
+    assert hochschild_cohomology(spec, [0, 1, 2, 3]).dims == {
+        0: 1, 1: 48, 2: 0, 3: 0
+    }
+    spec = HochschildComplexSpec(ungraded, variant="CHAIN", length_bound=5)
+    assert hochschild_homology(spec, [0, 1, 2, 3]) == {0: 16, 1: 0, 2: 0, 3: 0}
+
+
 def test_homology_of_base_field():
     base = CurvedAlgebra(truncated_polynomial_algebra(QQ, 1), "Z", [0])
     spec = HochschildComplexSpec(base, variant="CHAIN", length_bound=5)

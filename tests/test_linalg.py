@@ -151,10 +151,10 @@ def test_int_entries_over_rationals():
     assert v == [Fraction(3), Fraction(-3, 2), Fraction(1)]
     x = m.solve([6, 5])
     assert m.apply(x) == [Fraction(6), Fraction(5)]
-    span = SpanBuilder(QQ, 3)
-    assert span.add([2, 4, 0])
-    assert not span.add([1, 2, 0])
-    assert span.add([0, 2, 3])
+    span = SpanBuilder(QQ)
+    assert span.add({0: 2, 1: 4})
+    assert not span.add({0: 1, 1: 2, 2: 0})
+    assert span.add({1: 2, 2: 3})
     assert span.rank == 2
-    assert span.contains([3, 4, -3])
-    assert not span.contains([0, 0, 1])
+    assert span.contains({0: 3, 1: 4, 2: -3})
+    assert not span.contains({2: 1})
