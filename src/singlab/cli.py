@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import complexes, hochschild, koszuldual, matfac, polyring, quiverlab
-from . import stabilize
+from . import findim, stabilize
 from .errors import (
     BoundExceeded,
     InputError,
@@ -193,24 +193,34 @@ def _optional(spec):
     return "(optional)" in json.dumps(spec)
 
 
-def _check_object(doc, spec, what):
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} must be a JSON object")
-    for key, sub in spec.items():
-        if key not in doc and not _optional(sub):
-            raise InputError(f"{what} lacks required key {key!r}")
+def _check(doc, spec, what):
+    """InputError unless `doc` has every non-optional key of an object spec;
+    its entries, and the items of a list-of-objects spec, are checked too."""
+    if isinstance(spec, dict):
+        if not isinstance(doc, dict):
+            raise InputError(f"{what} must be a JSON object")
+        for key, sub in spec.items():
+            if key in doc:
+                _check(doc[key], sub, f"{what} {key!r}")
+            elif not _optional(sub):
+                raise InputError(f"{what} lacks required key {key!r}")
+    elif isinstance(spec, list) and isinstance(spec[0], dict):
+        if not isinstance(doc, list):
+            raise InputError(f"{what} must be a JSON list")
+        for item in doc:
+            _check(item, spec[0], f"{what} item")
 
 
 def _require_keys(doc, schema_name):
-    """InputError unless `doc` has every non-optional input key of the
-    schema, and every object-valued entry it has holds that entry's own
-    non-optional keys."""
-    spec = SCHEMAS[schema_name]["input"]
-    _check_object(doc, spec, f"{schema_name} input")
-    for key, sub in spec.items():
-        if isinstance(sub, dict) and key in doc:
-            _check_object(doc[key], sub, f"{schema_name} input {key!r}")
+    _check(doc, SCHEMAS[schema_name]["input"], f"{schema_name} input")
     return doc
+
+
+def _require_file(args):
+    """InputError unless a file was given; argparse cannot require it
+    because `--schema` and `quiver blocks` run without one."""
+    if args.file is None:
+        raise InputError(f"{args.command} {args.action} needs an input file")
 
 
 def _load_mf(path):
@@ -294,6 +304,7 @@ def cmd_tjurina(args):
 def cmd_mf(args):
     if _maybe_schema(args, "mf"):
         return 0
+    _require_file(args)
     action = args.action
     if action == "verify":
         ok, witness = matfac.mf_verify(_load_mf(args.file))
@@ -415,19 +426,16 @@ def _curved_from_json(doc):
     alg = algebra_from_json(doc)
     grading = doc.get("grading", "Z")
     degrees = doc.get("degrees", [0] * alg.dim)
-    scalar_ring = Ring((), field=alg.field)
-
-    def scalar_of(text):
-        return parse_poly(scalar_ring, str(text)).constant_term()
-
+    scalar_of = findim.scalar_reader(alg.field)
     diff = {}
     for a, val in doc.get("differential", {}).items():
-        diff[alg.basis.index(a)] = {
-            alg.basis.index(b): scalar_of(v) for b, v in val.items()
+        diff[findim.basis_index(alg.basis, a)] = {
+            findim.basis_index(alg.basis, b): scalar_of(v)
+            for b, v in val.items()
         }
     curvature = alg.zero_vector()
     for a, v in doc.get("curvature", {}).items():
-        curvature[alg.basis.index(a)] = scalar_of(v)
+        curvature[findim.basis_index(alg.basis, a)] = scalar_of(v)
     return hochschild.CurvedAlgebra(alg, grading, degrees, diff, curvature)
 
 
@@ -466,6 +474,7 @@ def cmd_quiver(args):
         report = quiverlab.dsg_blocks(args.type, lam)
         _emit(args, {"blocks": report.to_json()})
         return 0
+    _require_file(args)
     if action == "drinfeld":
         doc = _require_keys(_load_json(args.file), "quiver drinfeld")
         alg = algebra_from_json(doc["algebra"])
@@ -547,23 +556,18 @@ def cmd_cobar(args):
     doc = _require_keys(_load_json(args.file), "cobar")
     field = field_by_name(doc.get("field", "rat"))
     basis = list(doc["basis"])
-    scalar_ring = Ring((), field=field)
-
-    def scalar_of(text):
-        return parse_poly(scalar_ring, str(text)).constant_term()
-
+    scalar_of = findim.scalar_reader(field)
     reduced_delta = {}
     for c, val in doc.get("delta", {}).items():
-        entry = {}
-        for pair, v in val.items():
-            a, b = [s.strip() for s in pair.split(",")]
-            entry[(basis.index(a), basis.index(b))] = scalar_of(v)
-        reduced_delta[basis.index(c)] = entry
+        reduced_delta[findim.basis_index(basis, c)] = {
+            findim.pair_indices(basis, pair): scalar_of(v)
+            for pair, v in val.items()
+        }
     coalg = koszuldual.ConilpotentCoalgebra(
         field,
         basis,
         doc.get("degrees", [0] * len(basis)),
-        basis.index(doc["coaug"]),
+        findim.basis_index(basis, doc["coaug"]),
         reduced_delta,
         weights=doc.get("weights"),
     )

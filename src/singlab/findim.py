@@ -46,13 +46,9 @@ class FinDimAlgebra:
         """Vector from {basis name or index: scalar, int, or text}."""
         v = self.zero_vector()
         for key, c in coeffs.items():
-            i = key if isinstance(key, int) else self.basis.index(key)
-            if isinstance(c, int):
-                c = self.field.from_int(c)
-            elif isinstance(c, str):
-                from .polyring import Ring, parse_poly
-
-                c = parse_poly(Ring((), field=self.field), c).constant_term()
+            i = key if isinstance(key, int) else basis_index(self.basis, key)
+            if isinstance(c, (int, str)):
+                c = scalar_reader(self.field)(c)
             v[i] = v[i] + c
         return v
 
@@ -155,24 +151,41 @@ class FinDimAlgebra:
         }
 
 
+def basis_index(basis, name):
+    """Position of the basis element `name` of an input document."""
+    if name not in basis:
+        raise InputError(f"unknown basis element {name!r}")
+    return basis.index(name)
+
+
+def pair_indices(basis, key):
+    """(i, j) of an "a,b" key naming two basis elements."""
+    names = key.split(",")
+    if len(names) != 2:
+        raise InputError(f"key {key!r} must name two basis elements as 'a,b'")
+    return tuple(basis_index(basis, name.strip()) for name in names)
+
+
+def scalar_reader(field):
+    """Text such as "1/2" or 3 to a scalar of `field`."""
+    from .polyring import Ring, parse_poly
+
+    scalar_ring = Ring((), field=field)
+    return lambda text: parse_poly(scalar_ring, str(text)).constant_term()
+
+
 def algebra_from_json(doc, field=None):
     from .fields import field_by_name
-    from .polyring import Ring, parse_poly
 
     if field is None:
         field = field_by_name(doc.get("field", "rat"))
     basis = list(doc["basis"])
-    unit = basis.index(doc["unit"])
-    scalar_ring = Ring((), field=field)
-
-    def scalar_of(text):
-        return parse_poly(scalar_ring, str(text)).constant_term()
-
+    unit = basis_index(basis, doc["unit"])
+    scalar_of = scalar_reader(field)
     mult = {}
     for key, val in doc.get("products", {}).items():
-        a, b = [s.strip() for s in key.split(",")]
-        mult[(basis.index(a), basis.index(b))] = {
-            basis.index(k): scalar_of(v) for k, v in val.items()
+        mult[pair_indices(basis, key)] = {
+            basis_index(basis, k): scalar_of(v) for k, v in val.items()
         }
     return FinDimAlgebra(field, basis, mult, unit)
 

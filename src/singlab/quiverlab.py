@@ -11,6 +11,7 @@ contribute -a* a.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     InputError,
@@ -19,7 +20,7 @@ from .errors import (
     WindowExceedsBound,
 )
 from .fields import QQ, QQI, GaussianRational
-from .linalg import cohomology_at, matrix_from_columns
+from .linalg import cohomology_at
 
 
 class Quiver:
@@ -65,6 +66,8 @@ class Quiver:
         vertices = tuple(doc["vertices"])
         arrows = []
         for a in doc["arrows"]:
+            if a["from"] not in vertices or a["to"] not in vertices:
+                raise InputError(f"arrow {a['name']} names an unknown vertex")
             arrows.append(
                 (a["name"], vertices.index(a["from"]), vertices.index(a["to"]))
             )
@@ -218,6 +221,11 @@ def truncated_algebra_dim(q, relations, max_len, field=QQ):
     paths = path_basis(q, max_len)
     index = {p: i for i, p in enumerate(paths)}
     span = _span_of_products(q, relations, paths, index, max_len, field)
+    return _quotient_dims(paths, span, max_len, field)
+
+
+def _quotient_dims(paths, span, max_len, field):
+    """Dims of (paths of length <= l) / span, l = 0..max_len; grows span."""
     dims = []
     count = 0
     by_length = sorted(range(len(paths)), key=lambda i: len(paths[i][1]))
@@ -314,17 +322,7 @@ class DGQuiverAlgebra:
                     if not prod.terms:
                         continue
                     span.add({index[pp]: c for pp, c in prod.terms.items()})
-        dims = []
-        count = 0
-        order = sorted(range(len(paths)), key=lambda k: len(paths[k][1]))
-        pos = 0
-        for l in range(max_len + 1):
-            while pos < len(order) and len(paths[order[pos]][1]) <= l:
-                if span.add({order[pos]: field.one()}):
-                    count += 1
-                pos += 1
-            dims.append(count)
-        return dims
+        return _quotient_dims(paths, span, max_len, field)
 
 
 def derived_preprojective(q, lam=None, field=None):
@@ -445,10 +443,6 @@ def classify_dynkin_component(vertices, edges):
 
 
 def block_polynomial(kind, size):
-    if kind == "A":
-        return KLEINIAN_POLYNOMIALS["A"](size)
-    if kind == "D":
-        return KLEINIAN_POLYNOMIALS["D"](size)
     return KLEINIAN_POLYNOMIALS[kind](size)
 
 
@@ -527,30 +521,34 @@ def _nonzero(value):
 
 class DrinfeldComplex:
     """Components Q^0 = A and Q^{-1-i} = Ae (x) R^i (x) eA, with the
-    alternating signed sum of multiplications as the differential."""
+    alternating signed sum of multiplications as the differential.
 
-    __slots__ = ("algebra", "e", "depth_bound", "ae", "r", "ea",
-                 "_mul_cache")
+    Ae, R = eAe and eA are reduced echelon bases, so the coordinate of a
+    product on basis row k is the product's entry at that row's pivot.
+    The multiplication tables Ae.eA -> A, Ae.R -> Ae, R.R -> R and
+    R.eA -> eA map an index pair (i, j) to the nonzero coordinates
+    [(k, coeff)] of the product, and each is built once per complex.  The
+    R.R and R.eA tables come as a pair (+, -) indexed by the parity of the
+    join, so the differential never multiplies by a sign.
+    """
+
+    __slots__ = ("algebra", "depth_bound", "ae", "r", "ea", "_tables")
 
     def __init__(self, algebra, e, depth_bound):
         if not algebra.is_idempotent(e):
             raise NotIdempotent("e^2 != e")
         self.algebra = algebra
-        self.e = list(e)
         self.depth_bound = depth_bound
         a = algebra
-        ae = a.subspace_basis([a.multiply(a.basis_vector(i), e)
-                               for i in range(a.dim)])
-        ea = a.subspace_basis([a.multiply(e, a.basis_vector(i))
-                               for i in range(a.dim)])
-        r = a.subspace_basis(
+        self.ae = a.subspace_basis([a.multiply(a.basis_vector(i), e)
+                                    for i in range(a.dim)])
+        self.ea = a.subspace_basis([a.multiply(e, a.basis_vector(i))
+                                    for i in range(a.dim)])
+        self.r = a.subspace_basis(
             [a.multiply(e, a.multiply(a.basis_vector(i), e))
              for i in range(a.dim)]
         )
-        self.ae = ae
-        self.r = r
-        self.ea = ea
-        self._mul_cache = {}
+        self._tables = {}
 
     def dims(self):
         out = {0: self.algebra.dim}
@@ -558,97 +556,81 @@ class DrinfeldComplex:
             out[-1 - i] = len(self.ae) * len(self.r) ** i * len(self.ea)
         return out
 
-    def _coords(self, basis, vec):
-        if not basis:
-            return None
-        mat = matrix_from_columns(self.algebra.field, basis,
-                                  rows=self.algebra.dim)
-        return mat.solve(vec)
-
-    def _pair_products(self, left_basis, right_basis, target_basis):
-        """[(left, right) -> coords in target] multiplication table."""
-        key = (id(left_basis), id(right_basis), id(target_basis))
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
+    def _products(self, left_basis, right_basis, target_basis):
+        """{(i, j): [(k, coeff)]}: the nonzero coordinates of
+        left_i * right_j in the reduced echelon basis `target_basis`."""
+        rows = [[(c, x) for c, x in enumerate(row) if x] for row in target_basis]
+        pivots = [row[0][0] for row in rows]
         table = {}
         for i, u in enumerate(left_basis):
             for j, v in enumerate(right_basis):
                 prod = self.algebra.multiply(u, v)
-                if target_basis is None:
-                    table[(i, j)] = prod  # full A coordinates
-                else:
-                    coords = self._coords(target_basis, prod)
-                    if coords is None:
-                        raise InputError("product leaves the subspace")
-                    table[(i, j)] = coords
-        self._mul_cache[key] = table
+                coords = [(k, prod[p]) for k, p in enumerate(pivots) if prod[p]]
+                for k, c in coords:
+                    for col, x in rows[k]:
+                        prod[col] = prod[col] - c * x
+                if any(prod):
+                    raise InputError("product leaves the subspace")
+                table[(i, j)] = coords
         return table
+
+    def _tables_of(self, name):
+        """The tables of one kind, built on first use: "ends" is Ae.eA -> A,
+        "joins" is (Ae.R -> Ae, signed R.R -> R, signed R.eA -> eA)."""
+        tables = self._tables.get(name)
+        if tables is None:
+            if name == "ends":
+                a = self.algebra
+                units = [a.basis_vector(k) for k in range(a.dim)]
+                tables = self._products(self.ae, self.ea, units)
+            else:
+                tables = (
+                    self._products(self.ae, self.r, self.ae),
+                    _signed(self._products(self.r, self.r, self.r)),
+                    _signed(self._products(self.r, self.ea, self.ea)),
+                )
+            self._tables[name] = tables
+        return tables
 
     def component_basis(self, degree):
         """Index tuples (ae, r_1..r_i, ea) for Q^{degree}."""
         if degree == 0:
             return [(k,) for k in range(self.algebra.dim)]
-        i = -degree - 1
-        out = []
-
-        def rec(prefix, slots):
-            if slots == 0:
-                for b in range(len(self.ea)):
-                    out.append(prefix + (b,))
-                return
-            for r in range(len(self.r)):
-                rec(prefix + (r,), slots - 1)
-
-        for a0 in range(len(self.ae)):
-            rec((a0,), i)
-        return out if (self.ae and self.ea) else []
+        factors = [self.ae] + [self.r] * (-degree - 1) + [self.ea]
+        return list(product(*(range(len(f)) for f in factors)))
 
     def differential(self, key, degree):
-        """d of a tensor basis element at the given degree: {key: coeff}."""
-        field = self.algebra.field
-        out = {}
+        """d of a tensor basis element at the given degree: {key: coeff}.
+
+        Join j multiplies the factors key[j] and key[j + 1] with sign
+        (-1)^j; the first join is Ae.R, the last R.eA, the ones between
+        R.R, and the only join of Q^{-1} is Ae.eA -> A."""
         if degree == 0:
-            return out
-        i = -degree - 1
-        a0 = key[0]
-        mids = key[1:-1]
-        b0 = key[-1]
-
-        def bump(tkey, coeff):
-            if not coeff:
-                return
-            cur = out.get(tkey, field.zero()) + coeff
-            if cur:
-                out[tkey] = cur
-            else:
-                out.pop(tkey, None)
-
-        if i == 0:
-            ends = self._pair_products(self.ae, self.ea, None)
-            prod = ends[(a0, b0)]
-            for k, c in enumerate(prod):
-                bump((k,), c)
-            return out
-        # join 0: (ae * r_1)
-        left = self._pair_products(self.ae, self.r, self.ae)
-        for k, c in enumerate(left[(a0, mids[0])]):
-            bump((k,) + mids[1:] + (b0,), c)
-        # inner joins
-        mid = self._pair_products(self.r, self.r, self.r)
-        for j in range(len(mids) - 1):
-            sign = field.from_int(-1 if (j + 1) % 2 else 1)
-            for k, c in enumerate(mid[(mids[j], mids[j + 1])]):
-                bump(
-                    (a0,) + mids[:j] + (k,) + mids[j + 2 :] + (b0,),
-                    sign * c,
-                )
-        # last join: (r_i * ea)
-        right = self._pair_products(self.r, self.ea, self.ea)
-        sign = field.from_int(-1 if i % 2 else 1)
-        for k, c in enumerate(right[(mids[-1], b0)]):
-            bump((a0,) + mids[:-1] + (k,), sign * c)
+            return {}
+        if degree == -1:
+            return {(k,): c for k, c in self._tables_of("ends")[key]}
+        left, mid, right = self._tables_of("joins")
+        last = len(key) - 2
+        out = {}
+        for j in range(last + 1):
+            table = left if j == 0 else (right if j == last else mid)[j & 1]
+            head, tail = key[:j], key[j + 2:]
+            for k, c in table[key[j:j + 2]]:
+                tkey = head + (k,) + tail
+                if tkey in out:
+                    c = out[tkey] + c
+                    if not c:
+                        del out[tkey]
+                        continue
+                out[tkey] = c
         return out
+
+
+def _signed(table):
+    """(table, -table): the table and its negation, indexed by parity."""
+    return table, {
+        pair: [(k, -c) for k, c in coords] for pair, coords in table.items()
+    }
 
 
 def drinfeld_quotient(algebra, e, depth_bound):

@@ -188,6 +188,87 @@ def test_nested_missing_key_is_input_error(tmp_path):
     assert json.loads(run_cli("mf", "verify", path).stdout) == {"ok": True}
 
 
+def input_error_message(capsys, *argv):
+    from singlab import cli
+
+    assert cli.main(list(argv)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError"
+    return err["message"]
+
+
+@pytest.mark.parametrize("command, action", [
+    ("quiver", action) for action in ("paths", "preproj", "derived", "drinfeld")
+] + [
+    ("mf", action) for action in (
+        "verify", "shift", "tensor", "unfold", "coker",
+        "knoerrer-g", "knoerrer-h", "rho", "hom",
+    )
+])
+def test_missing_file_is_input_error(capsys, command, action):
+    message = input_error_message(capsys, command, action)
+    assert f"{command} {action} needs an input file" in message
+
+
+def test_arrow_keys_are_checked(tmp_path, capsys):
+    for arrows, expected in (
+        ([{"name": "a"}], "'from'"),
+        ([{"name": "a", "from": "1"}], "'to'"),
+        ([{"from": "1", "to": "2"}], "'name'"),
+        ([{"name": "a", "from": "1", "to": "3"}], "unknown vertex"),
+        ({"a": {"from": "1", "to": "2"}}, "list"),
+        (["a"], "object"),
+    ):
+        path = write_json(
+            tmp_path, "q.json", {"vertices": ["1", "2"], "arrows": arrows}
+        )
+        assert expected in input_error_message(capsys, "quiver", "paths", path)
+
+
+def bad_names():
+    """(document change, name the error must give) for an algebra."""
+    return (
+        ({"unit": "v"}, "'v'"),
+        ({"products": {"11": {"1": "1"}}}, "'11'"),
+        ({"products": {"1,x,x": {"x": "1"}}}, "'1,x,x'"),
+        ({"products": {"1,z": {"z": "1"}}}, "'z'"),
+        ({"products": {"1,1": {"q": "1"}}}, "'q'"),
+    )
+
+
+@pytest.mark.parametrize("command", ["hh", "koszul-dual", "bar"])
+def test_unknown_algebra_names_are_input_errors(tmp_path, capsys, command):
+    for change, expected in bad_names():
+        path = write_json(tmp_path, "alg.json", {**DUAL_NUMBERS, **change})
+        assert expected in input_error_message(capsys, command, path)
+
+
+def test_unknown_drinfeld_names_are_input_errors(tmp_path, capsys):
+    cases = [
+        ({"algebra": {**DUAL_NUMBERS, **change}, "idempotent": {"1": "1"}},
+         expected)
+        for change, expected in bad_names()
+    ]
+    cases.append(({"algebra": DUAL_NUMBERS, "idempotent": {"w": "1"}}, "'w'"))
+    for doc, expected in cases:
+        path = write_json(tmp_path, "drinfeld.json", doc)
+        assert expected in input_error_message(capsys, "quiver", "drinfeld", path)
+
+
+def test_unknown_differential_and_delta_names_are_input_errors(
+    tmp_path, capsys
+):
+    for key, doc in (
+        ("'d'", {**DUAL_NUMBERS, "differential": {"d": {"x": "1"}}}),
+        ("'c'", {**DUAL_NUMBERS, "curvature": {"c": "1"}}),
+    ):
+        path = write_json(tmp_path, "hh.json", doc)
+        assert key in input_error_message(capsys, "hh", path)
+    coalg = {"basis": ["1", "x"], "coaug": "1", "delta": {"x": {"x": "1"}}}
+    path = write_json(tmp_path, "cobar.json", coalg)
+    assert "'x'" in input_error_message(capsys, "cobar", path)
+
+
 @pytest.mark.parametrize("command, window", [
     ("hh", "3"),
     ("hh", "a:b"),
